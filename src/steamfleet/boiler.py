@@ -92,17 +92,17 @@ def _check_state(params, state):
         )
 
 
-def phi(params, state):
+def phi(params, state, s):
     """Energy capacity of the saturated volume, J/Pa.
 
     Sum of the vapor and liquid storage terms, the pressure-work volume
     V_T, the metal heat capacity referred to saturation temperature, and
-    the mass-redistribution coupling term.  Must be positive for the
+    the mass-redistribution coupling term, evaluated from ``s``, the
+    :class:`SaturationPoint` at ``state.p``.  Must be positive for the
     pressure dynamics to be well posed; raises
     :class:`ModelValidityError` otherwise.
     """
     _check_state(params, state)
-    s = saturation(state.p)
     V_w = state.V_w
     V_s = params.V_T - V_w
     h_w = s.h_w * _KJ
@@ -128,7 +128,7 @@ def phi(params, state):
 def derivatives(params, state, inputs):
     """Time derivatives (dp/dt [bar/s], dV_w/dt [m3/s])."""
     s = saturation(state.p)
-    cap = phi(params, state)
+    cap = phi(params, state, s)
     power = (
         params.eta * params.lambda_lhv * _KJ * inputs.q_g
         + inputs.q_f * (params.h_f - s.h_w) * _KJ

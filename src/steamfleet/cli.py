@@ -10,6 +10,7 @@ import json
 import sys
 from pathlib import Path
 
+from .boiler import ModelValidityError
 from .config import ConfigError, default_config, from_json
 from .outputs import emit_outputs
 from .scenario import ScenarioError, run_identification, run_scenario
@@ -101,7 +102,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, ScenarioError, IdentifiabilityError,
-            ModelQualityError, OSError) as exc:
+            ModelQualityError, ModelValidityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

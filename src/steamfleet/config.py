@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 from .boiler import BoilerParams
 from .lowlevel import PIConfig
+from .properties import H_FEED_105C
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 # Shipped fleet: five generators of similar construction but unequal
 # tube volume, metal mass, burner efficiency and fuel contract price.
@@ -24,9 +25,6 @@ _Q_S = ((0.1, 1.264), (0.092, 1.16), (0.089, 1.125), (0.095, 1.20), (0.099, 1.25
 _Q_G = ((0.1251, 0.8588), (0.1273, 0.8435), (0.1295, 0.8458),
         (0.1253, 0.8414), (0.1227, 0.8389))
 _LAMBDA = (100.0, 130.0, 120.0, 70.0, 80.0)
-
-# Feed water drawn from the 105 degC condensate return header.
-H_FEED = 440.2131268412942
 
 # Pressure-loop gains were tuned on the nonlinear model for a uniform
 # 120 s two-percent recovery with no overshoot across the whole fleet
@@ -94,7 +92,6 @@ class MpcConfig:
     lqr_q_dx: float = 1e-6    # state-increment weight in the tube gain design
     tube_eps: float = 0.01    # spectral tail cutoff for the tube sum
     w_safety: float = 1.25
-    w_horizon: int = 200      # mismatch accumulation window, slow steps
     margin_frac_max: float = 0.5   # reject tightenings past half the width
 
 
@@ -113,7 +110,6 @@ class ScenarioConfig:
         (1800.0, 3.2), (2450.0, 4.0), (3000.0, 3.3),
     )
     vw_frac: float = 0.5
-    seed: int = 7
 
 
 def default_fleet(lambda_lhv=4200.0, c_p=0.5, p_sp=57.0):
@@ -121,7 +117,7 @@ def default_fleet(lambda_lhv=4200.0, c_p=0.5, p_sp=57.0):
     for i in range(5):
         boilers.append(BoilerParams(
             V_T=_V_T[i], m_T=_M_T[i], c_p=c_p, eta=_ETA[i],
-            lambda_lhv=lambda_lhv, h_f=H_FEED,
+            lambda_lhv=lambda_lhv, h_f=H_FEED_105C,
             q_s_min=_Q_S[i][0], q_s_max=_Q_S[i][1],
             q_g_min=_Q_G[i][0], q_g_max=_Q_G[i][1],
             lambda_cost=_LAMBDA[i], p_sp=p_sp))
@@ -225,7 +221,6 @@ def from_json(text):
             mpc=MpcConfig(**raw["mpc"]),
             demand=tuple((float(t), float(v)) for t, v in raw["demand"]),
             vw_frac=float(raw["vw_frac"]),
-            seed=int(raw["seed"]),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed scenario section: {exc}") from exc

@@ -60,9 +60,6 @@ class EnsembleModel:
     def n(self):
         return self.A.shape[0]
 
-    def step_matrices(self):
-        return self.A, self.B
-
 
 def _selection(nf_t, nbe_t, nf_m, nbe_m):
     n_t = nf_t + nbe_t - 1

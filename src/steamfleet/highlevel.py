@@ -21,6 +21,7 @@ from itertools import product
 
 import numpy as np
 
+from .mpc import command_bounds
 from .qp import solve_qp
 
 
@@ -110,25 +111,6 @@ def _pattern_qp(stations, active, demand, sets, cfg, lam_bar, previous):
     return H, f, np.array(rows), np.array(rhs), A, b
 
 
-def _command_headroom(stations, active, flows, u_ss, sets):
-    """Width of the total-command interval the split leaves open.
-
-    At fixed shares every station box maps to an interval on the total
-    command; a split that pins one station at a floor and another at a
-    ceiling collapses the intersection to a point, leaving the tracking
-    layer nowhere to move.
-    """
-    lo, hi = sets.u_min, sets.u_max
-    for i, v in zip(active, flows):
-        a = float(v) / u_ss
-        if a <= 1e-12:
-            continue
-        st = stations[i]
-        lo = max(lo, st.u_min / a, (st.y_min - st.level) / (st.gain * a))
-        hi = min(hi, st.u_max / a, (st.y_max - st.level) / (st.gain * a))
-    return hi - lo
-
-
 def _true_cost(stations, active, flows, u_ss, demand, lam_bar):
     gas_cost = sum(stations[i].cost * (stations[i].gain * v + stations[i].level)
                    for i, v in zip(active, flows))
@@ -166,14 +148,6 @@ def solve_shares(stations, demand, sets, cfg, previous=None):
         if worst > 1e-7:
             diagnostics[delta] = f"violated by {worst:.2e}"
             continue
-        # a nonpositive floor disables the guard (width is roundoff-noisy
-        # at vertex optima, where it is exactly zero)
-        if cfg.min_headroom > 0.0 and u_ss > 1e-9:
-            width = _command_headroom(stations, active, flows, u_ss, sets)
-            if width < cfg.min_headroom:
-                diagnostics[delta] = (f"command headroom {width:.4f} below "
-                                      f"floor {cfg.min_headroom}")
-                continue
         degenerate = abs(u_ss) < 1e-9
         if degenerate:
             alpha = [1.0 / m if delta[i] else 0.0 for i in range(n)]
@@ -181,6 +155,16 @@ def solve_shares(stations, demand, sets, cfg, previous=None):
             alpha = [0.0] * n
             for j, i in enumerate(active):
                 alpha[i] = float(flows[j]) / u_ss
+        # the fixed shares must leave the tracking layer room on the
+        # total command; a nonpositive floor disables the guard (width is
+        # roundoff-noisy at vertex optima, where it is exactly zero)
+        if cfg.min_headroom > 0.0 and u_ss > 1e-9:
+            lo, hi = command_bounds(stations, alpha, sets)
+            width = hi - lo
+            if width < cfg.min_headroom:
+                diagnostics[delta] = (f"command headroom {width:.4f} below "
+                                      f"floor {cfg.min_headroom}")
+                continue
         full_flows = [0.0] * n
         for j, i in enumerate(active):
             full_flows[i] = float(flows[j])

@@ -324,32 +324,23 @@ def first_move_cap(prev_alpha, prev_delta, alpha, delta, du_cap):
     return du_cap * worst
 
 
-def ensemble_state(refs, delta, y_hists, u_hists):
-    """Summed canonical states of the active stations at the current
-    instant; each history's last entry is its newest sample."""
-    x = np.zeros(refs[0].n)
-    for i, d in enumerate(delta):
-        if not d:
-            continue
-        ref = refs[i]
-        x += canonical_state(ref.n_f, ref.n_b_eff, ref.gamma,
-                             np.asarray(y_hists[i], dtype=float),
-                             np.asarray(u_hists[i], dtype=float)).reshape(-1)
-    return x
+def measured_state(refs, y_hists, u_hists):
+    """Canonical state of every station, active or not, at the current
+    instant.
 
-
-def measured_state(refs, delta, y_hists, u_hists, stride=1):
-    """Velocity state from per-station measured histories.
-
-    Sums canonical per-station states over the active set at k and at
-    the previous controller instant k - stride; histories are sampled
-    on the station grid, so a controller running every ``stride``
-    station periods passes that as the lookback.  The output entry is
-    the summed current production, which in canonical coordinates
-    equals C x + gamma exactly.
+    Histories are sampled on the station grid and only the newest
+    ``n_f`` outputs and ``n_b_eff - 1`` inputs are read; each history's
+    last entry is its newest sample.
     """
-    x_now = ensemble_state(refs, delta, y_hists, u_hists)
-    x_prev = ensemble_state(refs, delta, [h[:-stride] for h in y_hists],
-                            [h[:-stride] for h in u_hists])
-    y_tot = sum(float(y_hists[i][-1]) for i, d in enumerate(delta) if d)
-    return np.concatenate([x_now - x_prev, [y_tot]])
+    return [canonical_state(ref.n_f, ref.n_b_eff, ref.gamma,
+                            y, u).reshape(-1)
+            for ref, y, u in zip(refs, y_hists, u_hists)]
+
+
+def ensemble_state(states, delta):
+    """Summed per-station states over the active set."""
+    x = np.zeros_like(states[0])
+    for x_i, d in zip(states, delta):
+        if d:
+            x += x_i
+    return x

@@ -8,25 +8,32 @@ tracking controller; the share optimizer re-runs on demand moves or on
 its fixed cycle and triggers an ensemble/controller rebuild plus a
 rate-budgeted hand-off move.
 
-The observed one-step ensemble mismatch is audited against the
+The observed one-step ensemble mismatch is recorded next to the
 certified bound, and every measured flow is checked against its box at
 each slow step; violations are recorded, never silently clipped.
+
+The loop keeps model-length histories: each station holds the newest
+``n_f`` outputs and ``n_b_eff - 1`` inputs its canonical state reads,
+and the state ``nu`` periods back is the one computed at the previous
+slow step, so memory and per-step cost do not grow with the run length.
 """
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boiler import balance_gas
+from .boiler import ModelValidityError, balance_gas
 from .config import ConfigError, validate_config
-from .ensemble import (aggregate, estimate_disturbance_bound, make_reference,
-                       resample)
+from .ensemble import (DegenerateTemplateError, TemplateOrderError, aggregate,
+                       estimate_disturbance_bound, make_reference, resample)
 from .highlevel import should_resolve, solve_shares, station_data
 from .lowlevel import apply_period, gas_update, init_station, station_step
 from .mpc import (build_controller, ensemble_state, first_move_cap,
                   measured_state)
+from .properties import PressureRangeError
 from .sysid import (ArxOrders, IdentifiabilityError, ModelQualityError,
                     excitation_levels, fit_arx, realize, split_validation,
                     validate_model)
@@ -144,6 +151,8 @@ def run_identification(cfg):
                 raise ModelQualityError(f"static gain {model.gain!r} is zero")
         except (IdentifiabilityError, ModelQualityError) as exc:
             raise type(exc)(f"boiler {i + 1}: {exc}") from exc
+        except (PressureRangeError, ModelValidityError) as exc:
+            raise ModelValidityError(f"boiler {i + 1}: {exc}") from exc
         out.append(IdentifiedStation(model=model, fit=fit,
                                      spectral_radius=rho))
     return out
@@ -160,13 +169,26 @@ def select_template(models, delta_u, nu, safety):
     """
     actuals = [realize(m) for m in models]
     best, best_w = 0, math.inf
-    for t, cand in enumerate(models):
-        refs = [make_reference(m, cand) for m in models]
+    for t in range(len(models)):
+        refs = _references(models, t)
         w = estimate_disturbance_bound(refs, actuals, delta_u, nu,
                                        safety=safety).w_inf
         if w < best_w:
             best, best_w = t, w
     return best
+
+
+def _references(models, template):
+    """Every station's reference model on boiler ``template``'s
+    dynamics; failures name both boilers."""
+    refs = []
+    for i, m in enumerate(models):
+        try:
+            refs.append(make_reference(m, models[template]))
+        except (DegenerateTemplateError, TemplateOrderError) as exc:
+            raise ScenarioError(0.0, f"boiler {i + 1} on template boiler "
+                                     f"{template + 1}: {exc}") from exc
+    return refs
 
 
 def _distribute(u_bar, delta, alpha):
@@ -223,9 +245,9 @@ def run_scenario(cfg, idents=None):
     if idents is None:
         idents = run_identification(cfg)
     models = [s.model for s in idents]
-    template = models[select_template(models, cfg.sets.delta_u,
-                                      cfg.timing.nu, cfg.mpc.w_safety)]
-    refs = [make_reference(m, template) for m in models]
+    refs = _references(models, select_template(models, cfg.sets.delta_u,
+                                               cfg.timing.nu,
+                                               cfg.mpc.w_safety))
     actuals = [realize(m) for m in models]
     bound = estimate_disturbance_bound(refs, actuals, cfg.sets.delta_u,
                                        cfg.timing.nu,
@@ -264,108 +286,113 @@ def run_scenario(cfg, idents=None):
     u_bar = shares.u_ss
     r_hat = r
 
-    # histories live on the station (fast) grid; the canonical-state
-    # lags are fast lags, so seed enough equilibrium samples to cover
-    # both the current state and the one nu periods back
-    n_f_t, n_be_t = refs[0].n_f, refs[0].n_b_eff
-    y_hists = [[states[i].loop_r.output] * (n_f_t + 1 + nu)
-               for i in range(n_b)]
-    u_hists = [[u_cmds[i]] * (max(1, n_be_t) + nu) for i in range(n_b)]
+    # histories live on the station (fast) grid and hold exactly the lags
+    # the canonical state reads, seeded at equilibrium; the state nu
+    # periods back is the one kept from the previous slow step
+    y_hists = [deque([st.loop_r.output] * ref.n_f, maxlen=ref.n_f)
+               for st, ref in zip(states, refs)]
+    u_hists = [deque([u] * max(1, ref.n_b_eff - 1),
+                     maxlen=max(1, ref.n_b_eff - 1))
+               for u, ref in zip(u_cmds, refs)]
+    x_stations_prev = measured_state(refs, y_hists, u_hists)
 
     x_pred = None
     pred_delta = None
 
-    for m in range(n_slow):
+    for k in range(n_slow * nu):
+        m, j = divmod(k, nu)
         t = m * nu * tau
+        tf = t + j * tau
         # R loops tick first; their outputs are this instant's measurement
         pend = [gas_update(cfg.boilers[i], cfg.pi_r[i], states[i], tau)
                 for i in range(n_b)]
-        y_meas = [g for g, _ in pend]
-        for i in range(n_b):
-            y_hists[i].append(y_meas[i])
+        y_meas = [q_g for q_g, _ in pend]
+        for h, q_g in zip(y_hists, y_meas):
+            h.append(q_g)
 
-        if x_pred is not None:
-            x_now_old = ensemble_state(refs, pred_delta, y_hists, u_hists)
-            w_obs = float(np.max(np.abs(x_now_old - x_pred)))
-            report.max_w_obs = max(report.max_w_obs, w_obs)
+        if j == 0:
+            # u histories end at u(k-1): the new commands land only when
+            # the period is applied
+            x_stations = measured_state(refs, y_hists, u_hists)
+            if x_pred is not None:
+                w_obs = float(np.max(np.abs(
+                    ensemble_state(x_stations, pred_delta) - x_pred)))
+                report.max_w_obs = max(report.max_w_obs, w_obs)
 
-        demand = demand_at(cfg.demand, t)
-        meas_delta = shares.delta
-        first_move = None
-        if m > 0 and should_resolve(demand, shares, m - last_solve_step,
-                                    cfg.share):
-            try:
-                new_shares = solve_shares(hl_stations, demand, cfg.sets,
-                                          cfg.share, previous=shares)
-            except Exception as exc:
-                raise ScenarioError(t, f"dispatch failed: {exc}") from exc
-            report.hl_solves += 1
-            last_solve_step = m
-            changed = (new_shares.delta != shares.delta
-                       or any(abs(a - b) > 1e-12
-                              for a, b in zip(new_shares.alpha, shares.alpha)))
-            if changed:
-                first_move = first_move_cap(shares.alpha, shares.delta,
-                                            new_shares.alpha,
-                                            new_shares.delta,
-                                            cfg.sets.delta_u)
-                shares = new_shares
-                # input memory follows the surviving ensemble: a removed
-                # station takes its flow with it (diverted, not counted)
-                u_bar = sum(u for u, d in zip(u_cmds, shares.delta) if d)
-                slow, ctrl = reconfigure(t, shares)
-            else:
-                shares = new_shares
-            r = slow.gain * shares.u_ss
-
-        xi0 = measured_state(refs, shares.delta, y_hists, u_hists,
-                             stride=nu)
-        try:
-            sol = ctrl.solve(xi0, u_bar, r, first_move=first_move)
-        except Exception as exc:
-            raise ScenarioError(t, f"tracking solve failed: {exc}") from exc
-        du = sol.u_cmd - u_bar
-        u_bar = sol.u_cmd
-        r_hat = sol.r_hat
-        # state at this instant needs u histories ending at u(k-1), so
-        # take it before the new commands land on the history grid
-        x_now = ensemble_state(refs, shares.delta, y_hists, u_hists)
-        x_pred = slow.A @ x_now + slow.B.reshape(-1) * u_bar
-        pred_delta = shares.delta
-        u_cmds = _distribute(u_bar, shares.delta, shares.alpha)
-
-        report.violations.extend(
-            _audit(t, u_bar, du, u_cmds, y_meas, shares.delta, meas_delta,
-                   cfg.boilers, cfg.sets))
-
-        for j in range(nu):
-            tf = t + j * tau
-            qg_row, qf_row, p_row, vw_row = [], [], [], []
-            for i in range(n_b):
-                p_row.append(states[i].boiler.p)
-                vw_row.append(states[i].boiler.V_w)
-                if j == 0:
-                    q_g, loop_r = pend[i]
-                    states[i], q_f = apply_period(
-                        cfg.boilers[i], cfg.pi_c[i], states[i], loop_r,
-                        q_g, u_cmds[i], tau, dt)
+            demand = demand_at(cfg.demand, t)
+            meas_delta = shares.delta
+            first_move = None
+            if m > 0 and should_resolve(demand, shares, m - last_solve_step,
+                                        cfg.share):
+                try:
+                    new_shares = solve_shares(hl_stations, demand, cfg.sets,
+                                              cfg.share, previous=shares)
+                except Exception as exc:
+                    raise ScenarioError(t, f"dispatch failed: {exc}") from exc
+                report.hl_solves += 1
+                last_solve_step = m
+                changed = (new_shares.delta != shares.delta
+                           or any(abs(a - b) > 1e-12 for a, b in
+                                  zip(new_shares.alpha, shares.alpha)))
+                if changed:
+                    first_move = first_move_cap(shares.alpha, shares.delta,
+                                                new_shares.alpha,
+                                                new_shares.delta,
+                                                cfg.sets.delta_u)
+                    shares = new_shares
+                    # input memory follows the surviving ensemble: a
+                    # removed station takes its flow with it (diverted,
+                    # not counted)
+                    u_bar = sum(u for u, d in zip(u_cmds, shares.delta) if d)
+                    slow, ctrl = reconfigure(t, shares)
                 else:
-                    states[i], q_g, q_f = station_step(
-                        cfg.boilers[i], cfg.pi_r[i], cfg.pi_c[i], states[i],
-                        u_cmds[i], tau, dt)
-                    y_hists[i].append(q_g)
-                u_hists[i].append(u_cmds[i])
-                qg_row.append(q_g)
-                qf_row.append(q_f)
-            y_bar_acc = sum(g for g, d in zip(qg_row, shares.delta) if d)
-            report.frames.append(Frame(
-                t=tf, demand=demand_at(cfg.demand, tf), r=r, r_hat=r_hat,
-                u_bar=u_bar, y_bar=y_bar_acc, u_ss=shares.u_ss,
-                alpha=tuple(shares.alpha), delta=tuple(shares.delta),
-                qs=tuple(u_cmds), qg=tuple(qg_row), qf=tuple(qf_row),
-                p=tuple(p_row), vw=tuple(vw_row)))
-            report.total_gas += sum(qg_row) * tau
-            report.total_steam += sum(u_cmds) * tau
+                    shares = new_shares
+                r = slow.gain * shares.u_ss
+
+            # velocity state over the active set at k and k - nu; the
+            # output entry is the summed current production, which in
+            # canonical coordinates equals C x + gamma exactly
+            x_now = ensemble_state(x_stations, shares.delta)
+            y_tot = sum(y for y, d in zip(y_meas, shares.delta) if d)
+            x_back = ensemble_state(x_stations_prev, shares.delta)
+            xi0 = np.concatenate([x_now - x_back, [y_tot]])
+            try:
+                sol = ctrl.solve(xi0, u_bar, r, first_move=first_move)
+            except Exception as exc:
+                raise ScenarioError(t, f"tracking solve failed: {exc}") from exc
+            du = sol.u_cmd - u_bar
+            u_bar = sol.u_cmd
+            r_hat = sol.r_hat
+            x_pred = slow.A @ x_now + slow.B.reshape(-1) * u_bar
+            pred_delta = shares.delta
+            x_stations_prev = x_stations
+            u_cmds = _distribute(u_bar, shares.delta, shares.alpha)
+
+            report.violations.extend(
+                _audit(t, u_bar, du, u_cmds, y_meas, shares.delta,
+                       meas_delta, cfg.boilers, cfg.sets))
+
+        p_row = tuple(st.boiler.p for st in states)
+        vw_row = tuple(st.boiler.V_w for st in states)
+        qf_row = []
+        for i, (q_g, loop_r) in enumerate(pend):
+            try:
+                states[i], q_f = apply_period(
+                    cfg.boilers[i], cfg.pi_c[i], states[i], loop_r, q_g,
+                    u_cmds[i], tau, dt)
+            except (PressureRangeError, ModelValidityError) as exc:
+                raise ScenarioError(tf, f"boiler {i + 1}: {exc}") from exc
+            u_hists[i].append(u_cmds[i])
+            qf_row.append(q_f)
+        y_bar_acc = sum(g for g, d in zip(y_meas, shares.delta) if d)
+        report.frames.append(Frame(
+            t=tf, demand=demand_at(cfg.demand, tf), r=r, r_hat=r_hat,
+            u_bar=u_bar, y_bar=y_bar_acc, u_ss=shares.u_ss,
+            alpha=tuple(shares.alpha), delta=tuple(shares.delta),
+            qs=tuple(u_cmds), qg=tuple(y_meas), qf=tuple(qf_row),
+            p=p_row, vw=vw_row))
+        report.total_gas += sum(y_meas) * tau
+        report.total_steam += sum(u_cmds) * tau
 
     report.wall_ms = (time.perf_counter() - t_start) * 1e3
     return report

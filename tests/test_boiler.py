@@ -15,6 +15,7 @@ from steamfleet.properties import saturation
 
 B1 = default_fleet()[0]
 MID = BoilerState(p=57.0, V_w=0.5 * B1.V_T)
+SAT_57 = saturation(57.0)
 
 PHI_B1_57 = 63.995651555293286        # J/Pa
 DPDT_ORACLE = 0.02208517928448084     # bar/s at (q_g=.4, q_f=.55, q_s=.6)
@@ -23,7 +24,7 @@ BALANCE_GAS_06 = 0.37261340672232207  # kg/s holding 57 bar at q_s=0.6
 
 
 def test_capacity_matches_frozen_hand_evaluation():
-    assert phi(B1, MID) == pytest.approx(PHI_B1_57, rel=1e-12)
+    assert phi(B1, MID, SAT_57) == pytest.approx(PHI_B1_57, rel=1e-12)
 
 
 def test_capacity_matches_independent_recomputation():
@@ -39,20 +40,22 @@ def test_capacity_matches_independent_recomputation():
     slope = (s.drho_w_dp * V_w + s.drho_s_dp * V_s) / 1e5
     mix = slope * (s.rho_w * s.h_w - s.rho_s * s.h_s) * 1e3 / (s.rho_w - s.rho_s)
     expected = vapor + liquid + B1.V_T + metal - mix
-    assert phi(B1, MID) == pytest.approx(expected, rel=1e-12)
+    assert phi(B1, MID, SAT_57) == pytest.approx(expected, rel=1e-12)
 
 
 def test_capacity_positive_across_fleet_and_pressure():
     for b in default_fleet():
         for p in (20.0, 40.0, 57.0, 75.0, 90.0):
             for frac in (0.1, 0.5, 0.9):
-                assert phi(b, BoilerState(p, frac * b.V_T)) > 0.0
+                st = BoilerState(p, frac * b.V_T)
+                assert phi(b, st, saturation(p)) > 0.0
 
 
 def test_capacity_drops_when_vapor_space_vanishes():
     # With V_w -> V_T the vapor storage term disappears.
     near_full = BoilerState(57.0, 0.999 * B1.V_T)
-    assert phi(B1, near_full) != pytest.approx(phi(B1, MID), rel=1e-3)
+    assert phi(B1, near_full, SAT_57) != pytest.approx(
+        phi(B1, MID, SAT_57), rel=1e-3)
 
 
 def test_derivatives_match_frozen_oracle():
@@ -98,7 +101,7 @@ def test_duration_must_be_multiple_of_dt():
 @pytest.mark.parametrize("v_w", [0.0, -0.1, 1.21, 1.3])
 def test_liquid_volume_bounds_guarded(v_w):
     with pytest.raises(ModelValidityError):
-        phi(B1, BoilerState(57.0, v_w))
+        phi(B1, BoilerState(57.0, v_w), SAT_57)
 
 
 def test_step_rejects_escape_from_validity_region():

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from steamfleet import cli
+from steamfleet import cli, scenario
+from steamfleet.boiler import ModelValidityError
 from steamfleet.config import default_config, to_json
 from steamfleet.scenario import Frame, RunReport, ScenarioError
 
@@ -108,3 +109,42 @@ def test_identify_writes_models(tmp_path):
     assert len(doc) == 1
     assert doc[0]["fit_percent"] >= 95.0
     assert len(doc[0]["f"]) == 3 and len(doc[0]["b"]) == 2
+
+
+def zero_gain_config():
+    # without pressure feedback the gas stays at its starting level and
+    # the drum pressure runs out of the property fits
+    pi_r = tuple(dataclasses.replace(c, k_p=0.0, k_i=0.0) for c in BASE.pi_r)
+    return dataclasses.replace(BASE, pi_r=pi_r)
+
+
+@pytest.mark.parametrize("command", ["identify", "run"])
+def test_plant_failure_exits_one_naming_the_boiler(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(to_json(zero_gain_config()))
+    rc = cli.main([command, "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: boiler 1: ")
+
+
+def test_station_failure_mid_run_exits_one(tmp_path, monkeypatch, capsys):
+    real = scenario.apply_period
+    calls = []
+
+    def failing(params, *args):
+        calls.append(params)
+        if len(calls) > 20:
+            raise ModelValidityError("V_w left the drum")
+        return real(params, *args)
+
+    monkeypatch.setattr(scenario, "apply_period", failing)
+    path = tmp_path / "cfg.json"
+    path.write_text(to_json(small_config()))
+    rc = cli.main(["run", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    # one boiler, so call 21 is fast period 20 at tau = 10 s
+    assert err == "error: t=200s: boiler 1: V_w left the drum\n"

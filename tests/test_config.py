@@ -20,17 +20,19 @@ def test_round_trip_keeps_modified_fields():
         BASE,
         demand=((0.0, 1.5), (900.0, 2.5)),
         share=dataclasses.replace(BASE.share, min_headroom=0.25),
-        seed=99)
+        vw_frac=0.4)
     back = from_json(to_json(cfg))
     assert back == cfg
     assert back.share.min_headroom == 0.25
 
 
 def test_rejects_unknown_version():
-    doc = json.loads(to_json(BASE))
-    doc["version"] = 99
-    with pytest.raises(ConfigError, match="version"):
-        from_json(json.dumps(doc))
+    # version 1 documents still carry the unread top-level seed
+    for version in (99, 1):
+        doc = json.loads(to_json(BASE))
+        doc["version"] = version
+        with pytest.raises(ConfigError, match="version 2"):
+            from_json(json.dumps(doc))
 
 
 def test_rejects_non_json():

@@ -7,6 +7,8 @@ disturbances) run the controller against a plant stepped outside the
 controller's own matrices.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from steamfleet.ensemble import EnsembleModel, make_reference
 from steamfleet.highlevel import StationData
 from steamfleet.mpc import (GainDesignError, MpcInfeasibleError,
                             TubeTooLargeError, build_controller, build_tube,
-                            command_bounds, design_feedback, first_move_cap,
-                            measured_state, velocity_model)
+                            command_bounds, design_feedback, ensemble_state,
+                            first_move_cap, measured_state, velocity_model)
 from steamfleet.sysid import ArxModel
 
 
@@ -353,11 +355,19 @@ def test_measured_state_matches_reference_simulation():
     for i, ref in enumerate(refs):
         y_hists[i].append((ref.C @ xs[i]).item() + ref.gamma)
     x_hist.append([x.copy() for x in xs])
-    xi = measured_state(refs, (1, 1), y_hists, u_hists)
+    now = measured_state(refs, y_hists, u_hists)
+    prev = measured_state(refs, [h[:-1] for h in y_hists],
+                          [h[:-1] for h in u_hists])
+    for i in range(2):
+        assert np.allclose(now[i], x_hist[-1][i], atol=1e-12)
+    x_now = ensemble_state(now, (1, 1))
     x_bar = x_hist[-1][0] + x_hist[-1][1]
     x_bar_prev = x_hist[-2][0] + x_hist[-2][1]
-    assert np.allclose(xi[:-1], x_bar - x_bar_prev, atol=1e-12)
-    assert xi[-1] == pytest.approx(y_hists[0][-1] + y_hists[1][-1])
+    assert np.allclose(x_now - ensemble_state(prev, (1, 1)),
+                       x_bar - x_bar_prev, atol=1e-12)
+    # the summed production is C x + gamma in canonical coordinates
+    assert (refs[0].C @ x_now).item() + refs[0].gamma + refs[1].gamma == \
+        pytest.approx(y_hists[0][-1] + y_hists[1][-1])
 
 
 def test_measured_state_skips_inactive():
@@ -366,6 +376,44 @@ def test_measured_state_skips_inactive():
     refs = [make_reference(m, template), make_reference(m, template)]
     y_h = [[0.1, 0.2], [9.9, 9.9]]
     u_h = [[0.5, 0.6], [9.9, 9.9]]
-    xi = measured_state(refs, (1, 0), y_h, u_h)
-    assert xi[-1] == pytest.approx(0.2)
-    assert xi[0] == pytest.approx(0.2 - 0.1)
+    now = measured_state(refs, y_h, u_h)
+    prev = measured_state(refs, [h[:-1] for h in y_h], [h[:-1] for h in u_h])
+    # every station's state is reconstructed; only the sum skips
+    assert now[1][0] == pytest.approx(9.9)
+    dx = ensemble_state(now, (1, 0)) - ensemble_state(prev, (1, 0))
+    assert dx[0] == pytest.approx(0.2 - 0.1)
+    assert ensemble_state(now, (0, 0))[0] == 0.0
+
+
+def test_slow_lookback_from_model_length_buffers():
+    # nu = 3 fast periods per slow step, a transport delay so the input
+    # buffer holds more than one lag, and histories no longer than the
+    # model reads: x(k) - x(k - 3) must still match the simulation
+    nu = 3
+    template = ArxModel(f=(-0.6, 0.08), b=(0.2, 0.1), n_k=2, c=0.0, tau=10.0)
+    m1 = ArxModel(f=(-0.6, 0.08), b=(0.15, 0.12), n_k=2, c=0.03, tau=10.0)
+    m2 = ArxModel(f=(-0.6, 0.08), b=(0.3, 0.05), n_k=2, c=-0.02, tau=10.0)
+    refs = [make_reference(m1, template), make_reference(m2, template)]
+    assert refs[0].n_b_eff == 3
+    rng = np.random.default_rng(5)
+    u_seq = rng.uniform(0.2, 1.0, size=(2, 4 * nu + 2))
+    xs = [np.zeros(r.n) for r in refs]
+    # zero state: outputs at the level, no past input
+    y_bufs = [deque([r.gamma] * r.n_f, maxlen=r.n_f) for r in refs]
+    u_bufs = [deque([0.0] * (r.n_b_eff - 1), maxlen=r.n_b_eff - 1)
+              for r in refs]
+    sim, meas = [], []
+    for k in range(u_seq.shape[1]):
+        if k:
+            for i, ref in enumerate(refs):
+                y_bufs[i].append((ref.C @ xs[i]).item() + ref.gamma)
+        sim.append(xs[0] + xs[1])
+        meas.append(measured_state(refs, y_bufs, u_bufs))
+        for i, ref in enumerate(refs):
+            xs[i] = ref.A @ xs[i] + ref.B.reshape(-1) * u_seq[i, k]
+            u_bufs[i].append(float(u_seq[i, k]))
+    assert all(len(b) == r.n_f for b, r in zip(y_bufs, refs))
+    for k in range(nu, len(sim)):
+        dx = (ensemble_state(meas[k], (1, 1))
+              - ensemble_state(meas[k - nu], (1, 1)))
+        assert np.allclose(dx, sim[k] - sim[k - nu], rtol=0.0, atol=1e-12)

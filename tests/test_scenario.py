@@ -7,8 +7,9 @@ import pytest
 
 from steamfleet.config import ConfigError, IdentConfig, default_config
 from steamfleet.lowlevel import init_station, station_step
-from steamfleet.scenario import (demand_at, run_identification, run_scenario)
-from steamfleet.sysid import IdentifiabilityError, free_run
+from steamfleet.scenario import (IdentifiedStation, ScenarioError, demand_at,
+                                 run_identification, run_scenario)
+from steamfleet.sysid import ArxModel, IdentifiabilityError, free_run
 
 BASE = default_config()
 
@@ -121,3 +122,18 @@ def test_same_seed_reproduces_the_run(default_report):
         assert a == b
     assert again.violations == default_report.violations
     assert again.hl_solves == default_report.hl_solves
+
+
+def test_template_failure_names_the_boilers():
+    # a second-order template cannot serve a first-order station
+    fits = (ArxModel(f=(-0.5, 0.04), b=(0.3, 0.1), n_k=1, c=0.02, tau=10.0),
+            ArxModel(f=(-0.5,), b=(0.3, 0.1), n_k=1, c=0.01, tau=10.0))
+    idents = [IdentifiedStation(model=m, fit=99.0, spectral_radius=0.5)
+              for m in fits]
+    cfg = dataclasses.replace(
+        BASE, boilers=BASE.boilers[:2], pi_r=BASE.pi_r[:2],
+        pi_c=BASE.pi_c[:2])
+    with pytest.raises(ScenarioError,
+                       match=r"t=0s: boiler 2 on template boiler 1: "
+                             r"template orders"):
+        run_scenario(cfg, idents=idents)
