@@ -344,3 +344,15 @@ def ensemble_state(states, delta):
         if d:
             x += x_i
     return x
+
+
+def velocity_state(states, states_back, y_now, delta):
+    """Velocity state over the active set from per-station states at k
+    and at the previous controller instant.
+
+    The output entry is the summed current production, which in
+    canonical coordinates equals C x + gamma exactly.
+    """
+    dx = ensemble_state(states, delta) - ensemble_state(states_back, delta)
+    y_tot = sum(y for y, d in zip(y_now, delta) if d)
+    return np.concatenate([dx, [y_tot]])

@@ -32,7 +32,7 @@ from .ensemble import (DegenerateTemplateError, TemplateOrderError, aggregate,
 from .highlevel import should_resolve, solve_shares, station_data
 from .lowlevel import apply_period, gas_update, init_station, station_step
 from .mpc import (build_controller, ensemble_state, first_move_cap,
-                  measured_state)
+                  measured_state, velocity_state)
 from .properties import PressureRangeError
 from .sysid import (ArxOrders, IdentifiabilityError, ModelQualityError,
                     excitation_levels, fit_arx, realize, split_validation,
@@ -349,13 +349,9 @@ def run_scenario(cfg, idents=None):
                     shares = new_shares
                 r = slow.gain * shares.u_ss
 
-            # velocity state over the active set at k and k - nu; the
-            # output entry is the summed current production, which in
-            # canonical coordinates equals C x + gamma exactly
             x_now = ensemble_state(x_stations, shares.delta)
-            y_tot = sum(y for y, d in zip(y_meas, shares.delta) if d)
-            x_back = ensemble_state(x_stations_prev, shares.delta)
-            xi0 = np.concatenate([x_now - x_back, [y_tot]])
+            xi0 = velocity_state(x_stations, x_stations_prev, y_meas,
+                                 shares.delta)
             try:
                 sol = ctrl.solve(xi0, u_bar, r, first_move=first_move)
             except Exception as exc:

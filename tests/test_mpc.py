@@ -18,7 +18,8 @@ from steamfleet.highlevel import StationData
 from steamfleet.mpc import (GainDesignError, MpcInfeasibleError,
                             TubeTooLargeError, build_controller, build_tube,
                             command_bounds, design_feedback, ensemble_state,
-                            first_move_cap, measured_state, velocity_model)
+                            first_move_cap, measured_state, velocity_model,
+                            velocity_state)
 from steamfleet.sysid import ArxModel
 
 
@@ -360,14 +361,15 @@ def test_measured_state_matches_reference_simulation():
                           [h[:-1] for h in u_hists])
     for i in range(2):
         assert np.allclose(now[i], x_hist[-1][i], atol=1e-12)
-    x_now = ensemble_state(now, (1, 1))
+    xi = velocity_state(now, prev, [h[-1] for h in y_hists], (1, 1))
     x_bar = x_hist[-1][0] + x_hist[-1][1]
     x_bar_prev = x_hist[-2][0] + x_hist[-2][1]
-    assert np.allclose(x_now - ensemble_state(prev, (1, 1)),
-                       x_bar - x_bar_prev, atol=1e-12)
+    assert np.allclose(xi[:-1], x_bar - x_bar_prev, atol=1e-12)
+    assert xi[-1] == pytest.approx(y_hists[0][-1] + y_hists[1][-1])
     # the summed production is C x + gamma in canonical coordinates
+    x_now = ensemble_state(now, (1, 1))
     assert (refs[0].C @ x_now).item() + refs[0].gamma + refs[1].gamma == \
-        pytest.approx(y_hists[0][-1] + y_hists[1][-1])
+        pytest.approx(xi[-1])
 
 
 def test_measured_state_skips_inactive():
@@ -378,10 +380,11 @@ def test_measured_state_skips_inactive():
     u_h = [[0.5, 0.6], [9.9, 9.9]]
     now = measured_state(refs, y_h, u_h)
     prev = measured_state(refs, [h[:-1] for h in y_h], [h[:-1] for h in u_h])
-    # every station's state is reconstructed; only the sum skips
+    # every station's state is reconstructed; only the sums skip
     assert now[1][0] == pytest.approx(9.9)
-    dx = ensemble_state(now, (1, 0)) - ensemble_state(prev, (1, 0))
-    assert dx[0] == pytest.approx(0.2 - 0.1)
+    xi = velocity_state(now, prev, [h[-1] for h in y_h], (1, 0))
+    assert xi[-1] == pytest.approx(0.2)
+    assert xi[0] == pytest.approx(0.2 - 0.1)
     assert ensemble_state(now, (0, 0))[0] == 0.0
 
 
