@@ -326,12 +326,8 @@ def first_move_cap(prev_alpha, prev_delta, alpha, delta, du_cap):
 
 def measured_state(refs, y_hists, u_hists):
     """Canonical state of every station, active or not, at the current
-    instant.
-
-    Histories are sampled on the station grid and only the newest
-    ``n_f`` outputs and ``n_b_eff - 1`` inputs are read; each history's
-    last entry is its newest sample.
-    """
+    instant from the newest ``n_f`` outputs and ``n_b_eff - 1`` inputs
+    of its station-grid histories (last entry newest)."""
     return [canonical_state(ref.n_f, ref.n_b_eff, ref.gamma,
                             y, u).reshape(-1)
             for ref, y, u in zip(refs, y_hists, u_hists)]
@@ -347,12 +343,9 @@ def ensemble_state(states, delta):
 
 
 def velocity_state(states, states_back, y_now, delta):
-    """Velocity state over the active set from per-station states at k
-    and at the previous controller instant.
-
-    The output entry is the summed current production, which in
-    canonical coordinates equals C x + gamma exactly.
-    """
+    """Velocity state [x(k) - x(k-nu); y(k)] summed over the active set
+    from per-station states and outputs; the summed production equals
+    C x + gamma exactly in canonical coordinates."""
     dx = ensemble_state(states, delta) - ensemble_state(states_back, delta)
     y_tot = sum(y for y, d in zip(y_now, delta) if d)
     return np.concatenate([dx, [y_tot]])

@@ -286,9 +286,7 @@ def run_scenario(cfg, idents=None):
     u_bar = shares.u_ss
     r_hat = r
 
-    # histories live on the station (fast) grid and hold exactly the lags
-    # the canonical state reads, seeded at equilibrium; the state nu
-    # periods back is the one kept from the previous slow step
+    # station-grid histories of model length, seeded at equilibrium
     y_hists = [deque([st.loop_r.output] * ref.n_f, maxlen=ref.n_f)
                for st, ref in zip(states, refs)]
     u_hists = [deque([u] * max(1, ref.n_b_eff - 1),
