@@ -173,19 +173,26 @@ class MpcSolution:
 
 @dataclass(frozen=True, eq=False)
 class MpcController:
-    A_v: np.ndarray
-    B_v: np.ndarray
     tube: TubeDesign
     lo_cmd: float
     hi_cmd: float
     y_lo: float
     y_hi: float
-    du_cap: float
     horizon: int
     q_y: float
-    r_du: float
     rho: float
     n: int                  # ensemble state dimension (without output)
+    # state-independent parts of the tracking QP, built once per controller
+    powers: tuple           # A_v^j, j = 0..N, of the velocity model
+    y_rows: np.ndarray      # y_j as linear forms over theta, less y_free[j]
+    L: np.ndarray           # y_rows[j] - e_r: the tracking error forms
+    H: np.ndarray
+    A_eq: np.ndarray
+    G: np.ndarray
+    rate_caps: np.ndarray   # |du_l| bounds after tube back-off
+    h0: np.ndarray          # G rows' bound is h0 + h_u u_prev + h_y y_free
+    h_u: np.ndarray
+    h_y: np.ndarray
 
     def solve(self, xi0, u_prev, r, first_move=None):
         """One receding-horizon step.
@@ -197,76 +204,28 @@ class MpcController:
         """
         N = self.horizon
         nv = N + 1
-        nx = self.n + 1
-        xi0 = np.asarray(xi0, dtype=float).reshape(nx)
-        powers = [np.eye(nx)]
-        for _ in range(N):
-            powers.append(self.A_v @ powers[-1])
-        pB = [(powers[m] @ self.B_v).reshape(-1) for m in range(N)]
-
-        # y_j and terminal-increment rows as linear forms over theta
-        y_rows = np.zeros((N + 1, nv))
-        y_free = np.array([(powers[j] @ xi0)[-1] for j in range(N + 1)])
-        for j in range(1, N + 1):
-            for l in range(j):
-                y_rows[j, l] = pB[j - 1 - l][-1]
-        x_rows = np.zeros((self.n, nv))
-        for l in range(N):
-            x_rows[:, l] = pB[N - 1 - l][:self.n]
-        term_free = (powers[N] @ xi0)[:self.n]
-
-        H = np.zeros((nv, nv))
-        f = np.zeros(nv)
-        e_r = np.zeros(nv)
-        e_r[N] = 1.0
-        for j in range(1, N + 1):
-            L = y_rows[j] - e_r
-            H += 2.0 * self.q_y * np.outer(L, L)
-            f += 2.0 * self.q_y * y_free[j] * L
-        for l in range(N):
-            H[l, l] += 2.0 * self.r_du
-        H += 2.0 * self.rho * np.outer(e_r, e_r)
-        f += -2.0 * self.rho * r * e_r
-
-        A_eq = np.zeros((self.n + 1, nv))
-        b_eq = np.zeros(self.n + 1)
-        A_eq[:self.n, :] = x_rows
-        b_eq[:self.n] = -term_free
-        A_eq[self.n] = y_rows[N] - e_r
-        b_eq[self.n] = -y_free[N]
-
-        tube = self.tube
-        rows, rhs = [], []
-
-        def add(row, bound):
-            rows.append(row)
-            rhs.append(bound)
-
-        for l in range(N):
-            cap = self.du_cap - (tube.m_u[l] + (tube.m_u[l - 1] if l else 0.0))
-            if first_move is not None and l == 0:
-                cap = min(cap, first_move)
+        xi0 = np.asarray(xi0, dtype=float).reshape(self.n + 1)
+        caps = self.rate_caps
+        if first_move is not None:
+            caps = caps.copy()
+            caps[0] = min(caps[0], first_move)
+        for l, cap in enumerate(caps.tolist()):
             if cap <= 0.0:
                 raise MpcInfeasibleError(
                     f"rate cap exhausted by tube margins at step {l}",
                     {"cap": cap, "step": l})
-            e = np.zeros(nv)
-            e[l] = 1.0
-            add(e, cap)
-            add(-e, cap)
-        for j in range(N):
-            margin = tube.m_u_inf if j == N - 1 else tube.m_u[j]
-            cum = np.zeros(nv)
-            cum[:j + 1] = 1.0
-            add(cum, self.hi_cmd - margin - u_prev)
-            add(-cum, -(self.lo_cmd + margin - u_prev))
-        for j in range(1, N):
-            add(y_rows[j], self.y_hi - tube.m_y[j] - y_free[j])
-            add(-y_rows[j], -(self.y_lo + tube.m_y[j] - y_free[j]))
-        add(e_r, self.y_hi - tube.m_y_inf)
-        add(-e_r, -(self.y_lo + tube.m_y_inf))
 
-        res = solve_qp(H, f, np.array(rows), np.array(rhs), A_eq, b_eq)
+        y_free = np.array([(P @ xi0)[-1] for P in self.powers])
+        term_free = (self.powers[N] @ xi0)[:self.n]
+        f = np.zeros(nv)
+        for j in range(1, N + 1):
+            f += 2.0 * self.q_y * y_free[j] * self.L[j]
+        f[N] += -2.0 * self.rho * r
+        b_eq = np.concatenate([-term_free, [-y_free[N]]])
+        h = self.h0 + self.h_u * u_prev + self.h_y @ y_free
+        h[:2] = caps[0]                 # the first two rows bound du_0
+
+        res = solve_qp(self.H, f, self.G, h, self.A_eq, b_eq)
         if res.status != "optimal":
             raise MpcInfeasibleError(
                 f"tracking problem {res.status}",
@@ -277,7 +236,77 @@ class MpcController:
         return MpcSolution(u_cmd=float(u_prev + du[0]), du0=float(du[0]),
                            r_hat=float(theta[N]), du_seq=du.copy(),
                            cost=float(res.obj),
-                           predicted_y=y_rows @ theta + y_free)
+                           predicted_y=self.y_rows @ theta + y_free)
+
+
+def _tracking_qp(A_v, B_v, tube, n, lo_cmd, hi_cmd, sets, cfg):
+    """State-independent matrices of the tracking QP over theta = [du; r_hat].
+
+    Returns the :class:`MpcController` fields from ``powers`` on.  Rows
+    of G come in pairs (upper, lower bound): rate caps per step, the
+    cumulative command per step, the predicted output at steps 1..N-1,
+    and r_hat inside the asymptotically tightened output interval.
+    """
+    N = cfg.horizon
+    nv = N + 1
+    y_lo, y_hi = sets.y_min, sets.y_max
+    powers = [np.eye(n + 1)]
+    for _ in range(N):
+        powers.append(A_v @ powers[-1])
+    pB = [(powers[m] @ B_v).reshape(-1) for m in range(N)]
+
+    y_rows = np.zeros((N + 1, nv))
+    for j in range(1, N + 1):
+        for l in range(j):
+            y_rows[j, l] = pB[j - 1 - l][-1]
+    e_r = np.zeros(nv)
+    e_r[N] = 1.0
+    L = y_rows - e_r
+
+    H = np.zeros((nv, nv))
+    for j in range(1, N + 1):
+        H += 2.0 * cfg.q_y * np.outer(L[j], L[j])
+    for l in range(N):
+        H[l, l] += 2.0 * cfg.r_du
+    H += 2.0 * cfg.rho * np.outer(e_r, e_r)
+
+    A_eq = np.zeros((n + 1, nv))
+    for l in range(N):
+        A_eq[:n, l] = pB[N - 1 - l][:n]
+    A_eq[n] = L[N]
+
+    rows, h0, h_u, h_y = [], [], [], []
+
+    def add_pair(row, upper, lower, u_coef=0.0, y_j=None):
+        """Rows ``row`` <= upper and -row <= -lower; the bounds shift by
+        -u_prev and -y_free[y_j] when those coefficients are set."""
+        for sign, bound in ((1.0, upper), (-1.0, -lower)):
+            rows.append(sign * row)
+            h0.append(bound)
+            h_u.append(-sign * u_coef)
+            y_row = np.zeros(N + 1)
+            if y_j is not None:
+                y_row[y_j] = -sign
+            h_y.append(y_row)
+
+    rate_caps = np.empty(N)
+    for l in range(N):
+        rate_caps[l] = sets.delta_u - (tube.m_u[l]
+                                       + (tube.m_u[l - 1] if l else 0.0))
+        e = np.zeros(nv)
+        e[l] = 1.0
+        add_pair(e, rate_caps[l], -rate_caps[l])
+    for j in range(N):
+        margin = tube.m_u_inf if j == N - 1 else tube.m_u[j]
+        cum = np.zeros(nv)
+        cum[:j + 1] = 1.0
+        add_pair(cum, hi_cmd - margin, lo_cmd + margin, u_coef=1.0)
+    for j in range(1, N):
+        add_pair(y_rows[j], y_hi - tube.m_y[j], y_lo + tube.m_y[j], y_j=j)
+    add_pair(e_r, y_hi - tube.m_y_inf, y_lo + tube.m_y_inf)
+    return dict(powers=tuple(powers), y_rows=y_rows, L=L, H=H, A_eq=A_eq,
+                G=np.array(rows), rate_caps=rate_caps, h0=np.array(h0),
+                h_u=np.array(h_u), h_y=np.array(h_y))
 
 
 def build_controller(slow, stations, alpha, sets, w_inf, cfg):
@@ -308,10 +337,11 @@ def build_controller(slow, stations, alpha, sets, w_inf, cfg):
             raise TubeTooLargeError(
                 f"{what}: margin {margin:.4g} exceeds "
                 f"{cfg.margin_frac_max:.0%} of {half_width:.4g}", margins)
-    return MpcController(A_v=A_v, B_v=B_v, tube=tube, lo_cmd=lo, hi_cmd=hi,
-                         y_lo=sets.y_min, y_hi=sets.y_max,
-                         du_cap=sets.delta_u, horizon=cfg.horizon,
-                         q_y=cfg.q_y, r_du=cfg.r_du, rho=cfg.rho, n=slow.n)
+    return MpcController(tube=tube, lo_cmd=lo, hi_cmd=hi, y_lo=sets.y_min,
+                         y_hi=sets.y_max, horizon=cfg.horizon, q_y=cfg.q_y,
+                         rho=cfg.rho, n=slow.n,
+                         **_tracking_qp(A_v, B_v, tube, slow.n, lo, hi, sets,
+                                        cfg))
 
 
 def first_move_cap(prev_alpha, prev_delta, alpha, delta, du_cap):

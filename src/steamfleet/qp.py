@@ -11,15 +11,24 @@ the flat ones until a constraint blocks or the problem is certified
 unbounded.  Feasibility comes from a strictly convex one-slack phase-1
 problem, so the caller never supplies a starting point.
 
+Each working set is factored once by a plain SVD (``numpy.linalg.svd``,
+with the rank rule of ``scipy.linalg.null_space``), which yields both
+the null-space basis and the least-squares multipliers; the factors are
+kept until the working set changes.  Both ratio tests, along the Newton
+step and along a flat ray, take one matrix-vector product over the rows
+outside the working set, with the tie rules below unchanged.
+
 Everything is deliberately boring: dense algebra, fixed tie-breaking
 (most-blocking constraint first, lowest index on ties), no randomness,
 so a given problem always returns the identical result.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+
+_EPS = np.finfo(float).eps
 
 
 class NumericalFailureError(RuntimeError):
@@ -80,6 +89,42 @@ def _kkt_residual(H, f, G, h, A, b, x, lam, nu):
     return res
 
 
+def _factor(M, n):
+    """SVD factors of the working-set matrix ``M``: (U_r / s_r, V_r', Z).
+
+    The rank r keeps singular values above sigma_max * eps * max(M.shape),
+    the rule of scipy.linalg.null_space and numpy.linalg.lstsq.  Z is an
+    orthonormal basis of ker M, and (U_r / s_r) @ (V_r' @ v) is the
+    least-norm solution y of min |M' y - v|.
+    """
+    if not M.shape[0]:
+        return np.zeros((0, 0)), np.zeros((0, n)), np.eye(n)
+    u, sv, vt = np.linalg.svd(M, full_matrices=True)
+    r = int(np.count_nonzero(sv > sv.max(initial=0.0) * _EPS * max(M.shape)))
+    return u[:, :r] / sv[:r], vt[:r], vt[r:].T
+
+
+def _ratio_test(G, h, x, d, free, alpha):
+    """Step length along ``d`` and the row that blocks it (or None).
+
+    Rows outside the working set (``free``) with G_i d > 1e-12 block at
+    max((h_i - G_i x) / G_i d, 0).  Scanning them in index order from
+    ``alpha`` (None: no cap), a row takes over only when it blocks more
+    than 1e-12 earlier, so the most-blocking row wins and the lowest
+    index wins ties.
+    """
+    if G is None:
+        return alpha, None
+    s = G @ d
+    cand = (free & (s > 1e-12)).nonzero()[0]
+    a = np.maximum((h - G @ x)[cand] / s[cand], 0.0)
+    blocker = None
+    for i, a_i in zip(cand.tolist(), a.tolist()):
+        if alpha is None or a_i < alpha - 1e-12:
+            alpha, blocker = a_i, i
+    return alpha, blocker
+
+
 def _active_set(H, f, G, h, A, b, x, work, tol, max_iter):
     """Iterate from a feasible ``x`` with starting working set ``work``.
 
@@ -89,87 +134,71 @@ def _active_set(H, f, G, h, A, b, x, work, tol, max_iter):
     m = 0 if G is None else G.shape[0]
     me = 0 if A is None else A.shape[0]
     work = sorted(work)
+    free = np.ones(m, dtype=bool)
+    free[work] = False
     scale = max(1.0, float(np.max(np.abs(H))), float(np.max(np.abs(f), initial=0.0)))
     step_tol = 1e-11 * scale
+    basis = None    # factors of the working set, rebuilt only when it changes
     for it in range(1, max_iter + 1):
-        rows = []
-        if A is not None:
-            rows.append(A)
-        if work:
-            rows.append(G[work])
-        M = np.vstack(rows) if rows else np.zeros((0, n))
-        N = null_space(M) if M.shape[0] else np.eye(n)
+        if basis is None:
+            M = G[work] if work else np.zeros((0, n))
+            if A is not None:
+                M = np.concatenate((A, M))
+            Ur, Vr, N = _factor(M, n)
+            # eigenvectors of the reduced Hessian in full coordinates; flat
+            # ones get an infinite curvature so that a Newton step moves
+            # only along the curved ones
+            NV = w_step = flat = None
+            if N.shape[1]:
+                Hr = N.T @ H @ N
+                w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+                thresh = max(1e-12 * max(float(w[-1]), 1.0), 1e-14)
+                NV = N @ V
+                flat = (~(w > thresh)).nonzero()[0]
+                w_step = w.copy()
+                w_step[flat] = np.inf
+            basis = Ur, Vr, NV, w_step, flat
+        Ur, Vr, NV, w_step, flat = basis
         g = H @ x + f
         ray = None
-        if N.shape[1] == 0:
+        if NV is None:
             p = np.zeros(n)
         else:
-            Hr = N.T @ H @ N
-            gr = N.T @ g
-            w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
-            thresh = max(1e-12 * max(float(w[-1]), 1.0), 1e-14)
-            curved = w > thresh
-            gr_v = V.T @ gr
-            flat = ~curved
-            flat_grad = np.where(flat, gr_v, 0.0)
-            if float(np.max(np.abs(flat_grad), initial=0.0)) > 1e-10 * scale:
-                j = int(np.argmax(np.abs(flat_grad)))
-                ray = -np.sign(gr_v[j]) * (N @ V[:, j])
-                p = None
+            gr_v = NV.T @ g
+            flat_grad = np.abs(gr_v[flat])
+            if flat.size and float(flat_grad.max()) > 1e-10 * scale:
+                j = flat[int(np.argmax(flat_grad))]
+                ray = -np.sign(gr_v[j]) * NV[:, j]
             else:
-                pz = np.zeros_like(gr_v)
-                pz[curved] = -gr_v[curved] / w[curved]
-                p = N @ (V @ pz)
+                p = NV @ (-gr_v / w_step)
 
         if ray is not None:
             # flat descent direction: either blocked or unbounded
-            alpha, blocker = None, None
-            for i in range(m):
-                if i in work:
-                    continue
-                s = float(G[i] @ ray)
-                if s > 1e-12:
-                    a_i = float(h[i] - G[i] @ x) / s
-                    a_i = max(a_i, 0.0)
-                    if alpha is None or a_i < alpha - 1e-12:
-                        alpha, blocker = a_i, i
+            alpha, blocker = _ratio_test(G, h, x, ray, free, None)
             if blocker is None:
                 return "unbounded", x, None, None, tuple(work), it
             x = x + alpha * ray
-            work = sorted(work + [blocker])
-            continue
-
-        if float(np.max(np.abs(p), initial=0.0)) <= step_tol:
-            # stationary on the working set: check multipliers
+        elif float(np.abs(p).max(initial=0.0)) <= step_tol:
+            # stationary on the working set: least-squares multipliers
+            mult = Ur @ (Vr @ -g)
+            nu = mult[:me]
+            lam_w = mult[me:]
             lam_full = np.zeros(m)
-            nu = np.zeros(me)
-            if M.shape[0]:
-                mult, *_ = np.linalg.lstsq(M.T, -g, rcond=None)
-                nu = mult[:me]
-                for k, idx in enumerate(work):
-                    lam_full[idx] = mult[me + k]
-            neg = [idx for idx in work if lam_full[idx] < -tol]
-            if not neg:
+            lam_full[work] = lam_w
+            if not np.any(lam_w < -tol):
                 return "optimal", x, lam_full, nu, tuple(work), it
-            worst = min(neg, key=lambda idx: (lam_full[idx], idx))
-            work.remove(worst)
+            # most negative multiplier leaves; argmin keeps the lowest
+            # index on ties because ``work`` is sorted
+            free[work.pop(int(np.argmin(lam_w)))] = True
+            basis = None
             continue
-
-        alpha, blocker = 1.0, None
-        for i in range(m):
-            if i in work:
-                continue
-            s = float(G[i] @ p)
-            if s > 1e-12:
-                a_i = float(h[i] - G[i] @ x) / s
-                a_i = max(a_i, 0.0)
-                if a_i < alpha - 1e-12:
-                    alpha, blocker = a_i, i
-                elif blocker is not None and abs(a_i - alpha) <= 1e-12:
-                    blocker = min(blocker, i)
-        x = x + alpha * p
+        else:
+            alpha, blocker = _ratio_test(G, h, x, p, free, 1.0)
+            x = x + alpha * p
         if blocker is not None:
-            work = sorted(work + [blocker])
+            bisect.insort(work, blocker)
+            free[blocker] = False
+            basis = None
     raise NumericalFailureError(f"no convergence in {max_iter} iterations")
 
 

@@ -8,9 +8,12 @@ tracking controller; the share optimizer re-runs on demand moves or on
 its fixed cycle and triggers an ensemble/controller rebuild plus a
 rate-budgeted hand-off move.
 
-The observed one-step ensemble mismatch is recorded next to the
-certified bound, and every measured flow is checked against its box at
-each slow step; violations are recorded, never silently clipped.
+The observed one-step ensemble mismatch is audited against the
+certified bound the tube margins rest on, and every measured flow is
+checked against its box at each slow step; violations are recorded,
+never silently clipped.  A zero bound (every station on its own
+dynamics, e.g. one boiler) covers no identification residual and is
+not audited.
 
 The loop keeps model-length histories: each station holds the newest
 ``n_f`` outputs and ``n_b_eff - 1`` inputs its canonical state reads,
@@ -316,6 +319,10 @@ def run_scenario(cfg, idents=None):
                 w_obs = float(np.max(np.abs(
                     ensemble_state(x_stations, pred_delta) - x_pred)))
                 report.max_w_obs = max(report.max_w_obs, w_obs)
+                if w_inf > 0.0 and w_obs > w_inf:
+                    report.violations.append(
+                        f"t={t:.0f}s observed mismatch {w_obs:.6g} exceeds "
+                        f"certified bound {w_inf:.6g}")
 
             demand = demand_at(cfg.demand, t)
             meas_delta = shares.delta

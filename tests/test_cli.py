@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -13,10 +14,10 @@ from steamfleet.scenario import Frame, RunReport, ScenarioError
 BASE = default_config()
 
 
-def small_config(duration=300.0, demand=((0.0, 0.5),)):
+def small_config(duration=300.0, demand=((0.0, 0.5),), n=1):
     return dataclasses.replace(
-        BASE, boilers=BASE.boilers[:1], pi_r=BASE.pi_r[:1],
-        pi_c=BASE.pi_c[:1], demand=demand,
+        BASE, boilers=BASE.boilers[:n], pi_r=BASE.pi_r[:n],
+        pi_c=BASE.pi_c[:n], demand=demand,
         timing=dataclasses.replace(BASE.timing, duration=duration))
 
 
@@ -148,3 +149,26 @@ def test_station_failure_mid_run_exits_one(tmp_path, monkeypatch, capsys):
     assert rc == 1
     # one boiler, so call 21 is fast period 20 at tau = 10 s
     assert err == "error: t=200s: boiler 1: V_w left the drum\n"
+
+
+def test_broken_mismatch_certificate_exits_two(tmp_path, monkeypatch, capsys):
+    # a certificate shrunk far below the observed one-step mismatch must
+    # be caught by the run, not only by a test on the report
+    real = scenario.estimate_disturbance_bound
+
+    def shrunk(*args, **kwargs):
+        bound = real(*args, **kwargs)
+        return dataclasses.replace(bound, w_inf=bound.w_inf * 1e-6)
+
+    monkeypatch.setattr(scenario, "estimate_disturbance_bound", shrunk)
+    path = tmp_path / "cfg.json"
+    path.write_text(to_json(small_config(demand=((0.0, 1.0),), n=2)))
+    rc = cli.main(["run", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    found = re.findall(r"violation: t=(\d+)s observed mismatch (\S+) "
+                       r"exceeds certified bound (\S+)", err)
+    assert found
+    for _, w_obs, w_cert in found:
+        assert float(w_obs) > float(w_cert) > 0.0

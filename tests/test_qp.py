@@ -4,8 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
-from steamfleet.qp import NumericalFailureError, QpResult, solve_qp
+from steamfleet.qp import (NumericalFailureError, QpResult, _factor,
+                           _ratio_test, solve_qp)
 
 
 def kkt_enumerate(H, f, G=None, h=None, A=None, b=None):
@@ -63,6 +65,18 @@ def random_problem(rng, with_eq=False):
     return H, f, G, h, A, b
 
 
+def semidefinite_boxed_problem(rng):
+    """Rank-deficient H (flat directions, so the flat-ray ratio test
+    runs) with a box |x| <= 1 keeping the problem bounded."""
+    n = int(rng.integers(2, 5))
+    R = rng.normal(size=(int(rng.integers(0, n)), n))
+    H = R.T @ R
+    f = rng.normal(size=n)
+    G = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(1, n))])
+    h = np.concatenate([np.ones(2 * n), [0.5]])
+    return H, f, G, h, None, None
+
+
 @pytest.mark.parametrize("with_eq", [False, True])
 def test_matches_kkt_enumeration_on_random_problems(with_eq):
     rng = np.random.default_rng(42 if with_eq else 24)
@@ -74,6 +88,19 @@ def test_matches_kkt_enumeration_on_random_problems(with_eq):
         assert ref is not None, f"trial {trial}"
         assert res.obj == pytest.approx(ref[0], abs=1e-7), f"trial {trial}"
         assert res.x == pytest.approx(ref[1], abs=1e-5), f"trial {trial}"
+        assert res.kkt_residual <= 1e-8
+
+
+def test_matches_kkt_enumeration_on_semidefinite_boxed_problems():
+    # optima need not be unique, so only objectives are compared
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        H, f, G, h, A, b = semidefinite_boxed_problem(rng)
+        res = solve_qp(H, f, G, h, A, b)
+        ref = kkt_enumerate(H, f, G, h, A, b)
+        assert res.status == "optimal", f"trial {trial}"
+        assert ref is not None, f"trial {trial}"
+        assert res.obj == pytest.approx(ref[0], abs=1e-7), f"trial {trial}"
         assert res.kkt_residual <= 1e-8
 
 
@@ -163,6 +190,25 @@ def test_redundant_duplicate_constraints():
     assert res.x[0] == pytest.approx(1.0)
 
 
+def test_exact_tie_between_blocking_rows_picks_lower_index():
+    # rows 1 and 2 are identical and block the Newton step at once
+    G = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    res = solve_qp(np.eye(2), [-3.0, 0.0], G, [5.0, 1.0, 1.0])
+    assert res.status == "optimal"
+    assert res.active == (1,)
+    assert res.lam == pytest.approx([0.0, 2.0, 0.0])
+
+
+def test_rank_deficient_consistent_equalities():
+    # the first two equality rows repeat each other
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    res = solve_qp(np.eye(3), np.zeros(3), np.array([[1.0, 0.0, 0.0]]),
+                   [0.2], A, [1.0, 1.0, 0.5])
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([0.2, 0.8, 0.5])
+    assert res.kkt_residual <= 1e-8
+
+
 def test_degenerate_vertex():
     # three constraints meet at the optimum of a 2-d problem
     G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -206,3 +252,52 @@ def test_tight_equality_start_not_declared_infeasible():
     res = solve_qp(np.eye(2), [0.0, 0.0], G, h, A, b)
     assert res.status == "optimal"
     assert res.x == pytest.approx([0.3, 0.7])
+
+
+def loop_ratio_test(G, h, x, d, work, alpha):
+    """Row-by-row ratio test, the reference for the vectorized one."""
+    blocker = None
+    for i in range(G.shape[0]):
+        if i in work:
+            continue
+        s = float(G[i] @ d)
+        if s > 1e-12:
+            a_i = max(float(h[i] - G[i] @ x) / s, 0.0)
+            if alpha is None or a_i < alpha - 1e-12:
+                alpha, blocker = a_i, i
+    return alpha, blocker
+
+
+def test_ratio_test_matches_row_loop():
+    # small integers keep every product and sum exact, so both orders of
+    # summation agree bit for bit and exact ties are frequent
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        G = rng.integers(-3, 4, size=(m, n)).astype(float)
+        x = rng.integers(-2, 3, size=n).astype(float)
+        h = G @ x + rng.integers(-1, 4, size=m)
+        d = rng.integers(-2, 3, size=n).astype(float)
+        work = sorted(set(rng.integers(0, m, size=int(rng.integers(0, m)))))
+        free = np.ones(m, dtype=bool)
+        free[work] = False
+        for alpha in (None, 1.0):
+            assert (_ratio_test(G, h, x, d, free, alpha)
+                    == loop_ratio_test(G, h, x, d, work, alpha)), trial
+
+
+def test_factor_matches_scipy_null_space_and_lstsq():
+    rng = np.random.default_rng(9)
+    for trial in range(100):
+        k, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        M = rng.normal(size=(k, n))
+        if k > 1 and trial % 2:
+            M[-1] = M[0]                        # rank deficient
+        Ur, Vr, Z = _factor(M, n)
+        ref = null_space(M)
+        assert Z.shape == ref.shape, trial
+        # same subspace: equal orthogonal projectors
+        assert Z @ Z.T == pytest.approx(ref @ ref.T, abs=1e-12), trial
+        v = rng.normal(size=n)
+        mult, *_ = np.linalg.lstsq(M.T, v, rcond=None)
+        assert Ur @ (Vr @ v) == pytest.approx(mult, abs=1e-10), trial
