@@ -14,31 +14,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from steamfleet.boiler import BoilerParams
+from steamfleet.config import default_fleet
 from steamfleet.lowlevel import (PIConfig, init_station, run_station,
                                  settling_time)
 
-V_T = [1.21, 1.15, 1.28, 1.14, 1.32]
-M_T = [5499.0, 5220.0, 5830.0, 5060.0, 5995.0]
-ETA = [0.90, 0.92, 0.89, 0.95, 0.99]
-QS = [(0.1, 1.264), (0.092, 1.16), (0.089, 1.125), (0.095, 1.20), (0.099, 1.25)]
-QG = [(0.1251, 0.8588), (0.1273, 0.8435), (0.1295, 0.8458),
-      (0.1253, 0.8414), (0.1227, 0.8389)]
-LAM = [100.0, 130.0, 120.0, 70.0, 80.0]
-
 TAU, DT = 10.0, 1.0
-H_F = 440.2131268412942
-
-
-def fleet():
-    out = []
-    for i in range(5):
-        out.append(BoilerParams(
-            V_T=V_T[i], m_T=M_T[i], c_p=0.5, eta=ETA[i], lambda_lhv=4200.0,
-            h_f=H_F, q_s_min=QS[i][0], q_s_max=QS[i][1],
-            q_g_min=QG[i][0], q_g_max=QG[i][1],
-            lambda_cost=LAM[i], p_sp=57.0))
-    return out
 
 
 def step_response(params, cfg_r, cfg_c, q0=0.5, dq=0.2, horizon=600.0):
@@ -54,7 +34,7 @@ def step_response(params, cfg_r, cfg_c, q0=0.5, dq=0.2, horizon=600.0):
 def evaluate(k_p, k_i):
     cfg_c = PIConfig(0.31, 0.1, 0.0, 2.0)
     rows = []
-    for params in fleet():
+    for params in default_fleet():
         cfg_r = PIConfig(k_p, k_i, 0.0, params.q_g_max)
         times, press = step_response(params, cfg_r, cfg_c)
         ts = settling_time(times, press, params.p_sp)

@@ -165,20 +165,10 @@ def _station_mismatch(ref, actual, delta_u, nu, tol, hard_cap):
     by alternating full-rate moves.  Returned per unit share.
     """
     beta = ref.beta
-    A, B = actual.A, actual.B
-    A_nu = np.linalg.matrix_power(A, nu)
-    Ah_nu = np.linalg.matrix_power(ref.A, nu)
-    S = np.zeros_like(B)
-    Sh = np.zeros_like(ref.B)
-    P = np.eye(A.shape[0])
-    Ph = np.eye(ref.A.shape[0])
-    for _ in range(nu):
-        S = S + P @ B
-        Sh = Sh + Ph @ ref.B
-        P = P @ A
-        Ph = Ph @ ref.A
-    dA = beta @ A_nu - Ah_nu @ beta
-    dS = beta @ S - Sh
+    slow, slow_ref = resample(actual, nu), resample(ref, nu)
+    A_nu, S = slow.A, slow.B
+    dA = beta @ A_nu - slow_ref.A @ beta
+    dS = beta @ S - slow_ref.B
     accum = np.abs(dS[:, 0]).copy()
     X = np.zeros_like(S)
     scale = max(1.0, float(np.max(accum)))

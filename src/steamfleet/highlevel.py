@@ -6,14 +6,17 @@ for each pattern the continuous split solves a convex QP in the active
 per-station flows v_i and the total u_ss:
 
     min  sum_i cost_i * (gain_i v_i + level_i) + lambda_bar (u_ss - demand)^2
-    s.t. sum v = u_ss, station and plant boxes, rate coupling
+    s.t. sum v = u_ss, v_i in its steam interval, plant boxes
 
-The demand weight lambda_bar is large, so u_ss tracks demand unless a
-bound binds; dividing the objective through by it keeps the QP kernel
-numerics flat.  Rate coupling |v_i - alpha_i^prev u_ss^prev| <=
-alpha_i^prev delta_u binds only stations active in both the previous
-and the candidate pattern: an entrant has no previous share to move
-from, and a leaver's flow is simply switched off.
+A station's steam and gas boxes are one interval on v_i
+(``StationData.steam_interval``); flows are nonnegative and sum to u_ss,
+so every share is in [0, 1].  The demand weight lambda_bar is large, so
+u_ss tracks demand unless a bound binds; dividing the objective through
+by it keeps the QP kernel numerics flat.  Rate coupling
+|v_i - alpha_i^prev u_ss^prev| <= alpha_i^prev delta_u narrows the
+interval of stations active in both the previous and the candidate
+pattern: an entrant has no previous share to move from, and a leaver's
+flow is simply switched off.
 """
 
 from dataclasses import dataclass
@@ -34,6 +37,12 @@ class StationData:
     y_min: float
     y_max: float
     cost: float
+
+    @property
+    def steam_interval(self):
+        """Flows v >= 0 with v and gas gain*v + level in box; gain > 0."""
+        return (max(self.u_min, (self.y_min - self.level) / self.gain, 0.0),
+                min(self.u_max, (self.y_max - self.level) / self.gain))
 
 
 def station_data(params, model):
@@ -95,19 +104,15 @@ def _pattern_qp(stations, active, demand, sets, cfg, lam_bar, previous):
     add(g_row, sets.y_max - lev)
     add(-g_row, -(sets.y_min - lev))
     for j, i in enumerate(active):
-        e = np.zeros(n)
-        e[j] = 1.0
-        st = stations[i]
-        add(e, st.u_max)
-        add(-e, -st.u_min)
-        add(st.gain * e, st.y_max - st.level)
-        add(-st.gain * e, -(st.y_min - st.level))
-        add(e - e_u, 0.0)    # share stays within [0, 1]
+        lo, hi = stations[i].steam_interval
         if previous is not None and previous.delta[i]:
             centre = previous.alpha[i] * previous.u_ss
             room = previous.alpha[i] * sets.delta_u
-            add(e, centre + room)
-            add(-e, -(centre - room))
+            lo, hi = max(lo, centre - room), min(hi, centre + room)
+        e = np.zeros(n)
+        e[j] = 1.0
+        add(e, hi)
+        add(-e, -lo)
     return H, f, np.array(rows), np.array(rhs), A, b
 
 

@@ -148,16 +148,16 @@ def build_tube(A_cl, K, C, w_inf, horizon, eps, max_power=500):
 def command_bounds(stations, alpha, sets):
     """Total-command interval implied by every active station's boxes.
 
-    Station commands are alpha_i * u and quasi-steady station gas is
-    gain_i alpha_i u + level_i, so each active station shrinks the
-    admissible total interval.
+    Station i receives alpha_i * u, which must lie in its steam interval
+    (``StationData.steam_interval``), so each active station shrinks the
+    plant-wide command box to that interval divided by its share.
     """
     lo, hi = sets.u_min, sets.u_max
     for st, a in zip(stations, alpha):
         if a <= 0.0:
             continue
-        lo = max(lo, st.u_min / a, (st.y_min - st.level) / (st.gain * a))
-        hi = min(hi, st.u_max / a, (st.y_max - st.level) / (st.gain * a))
+        v_lo, v_hi = st.steam_interval
+        lo, hi = max(lo, v_lo / a), min(hi, v_hi / a)
     return lo, hi
 
 

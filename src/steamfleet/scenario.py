@@ -150,8 +150,9 @@ def run_identification(cfg):
             model = fit_arx(u[train_sl], y[train_sl], orders, cfg.timing.tau)
             fit, rho = validate_model(model, u[val_sl], y[val_sl],
                                       cfg.ident.fit_min)
-            if abs(model.gain) < 1e-9:
-                raise ModelQualityError(f"static gain {model.gain!r} is zero")
+            if model.gain <= 1e-9:
+                raise ModelQualityError(
+                    f"static gain {model.gain!r} is not positive")
         except (IdentifiabilityError, ModelQualityError) as exc:
             raise type(exc)(f"boiler {i + 1}: {exc}") from exc
         except (PressureRangeError, ModelValidityError) as exc:

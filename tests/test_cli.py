@@ -130,6 +130,28 @@ def test_plant_failure_exits_one_naming_the_boiler(tmp_path, capsys, command):
     assert err.startswith("error: boiler 1: ")
 
 
+def test_negative_gain_exits_one_naming_the_boiler(tmp_path, monkeypatch,
+                                                  capsys):
+    # the steam intervals divide the gas box by the gain, so a fit whose
+    # gas falls as steam rises must stop identification
+    real = scenario.fit_arx
+
+    def inverted(*args, **kwargs):
+        model = real(*args, **kwargs)
+        return dataclasses.replace(model, b=tuple(-b for b in model.b))
+
+    monkeypatch.setattr(scenario, "fit_arx", inverted)
+    monkeypatch.setattr(scenario, "validate_model", lambda *args: (99.0, 0.5))
+    path = tmp_path / "cfg.json"
+    path.write_text(to_json(small_config()))
+    rc = cli.main(["identify", "--config", str(path),
+                   "--out", str(tmp_path / "models.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.fullmatch(r"error: boiler 1: static gain -\S+ is not positive\n",
+                        err)
+
+
 def test_station_failure_mid_run_exits_one(tmp_path, monkeypatch, capsys):
     real = scenario.apply_period
     calls = []

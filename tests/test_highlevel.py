@@ -1,5 +1,6 @@
 """Share optimizer against a pattern-enumerating greedy-fill oracle."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -94,25 +95,38 @@ def oracle(stations, demand, sets, previous, lam_bar, grid=1e-3):
     return best
 
 
-def random_instance(rng):
+def random_instance(rng, gas_box=False):
+    """Three stations and a demand; ``gas_box`` narrows each gas box
+    inside the steam box so it binds: at most 0.7 of full steam, at
+    least 0.1 above the steam floor."""
     n = 3
     stations = []
     for _ in range(n):
         gain = rng.uniform(0.3, 0.9)
         u_min = rng.uniform(0.05, 0.15)
         u_max = rng.uniform(0.8, 1.5)
-        stations.append(make_station(gain, rng.uniform(1.0, 10.0),
-                                     u_min, u_max,
-                                     level=rng.uniform(-0.01, 0.01)))
+        st = make_station(gain, rng.uniform(1.0, 10.0), u_min, u_max,
+                          level=rng.uniform(-0.01, 0.01))
+        if gas_box:
+            st = dataclasses.replace(
+                st, y_min=gain * (u_min + 0.1) + st.level,
+                y_max=gain * 0.7 * u_max + st.level)
+        stations.append(st)
     cap = sum(st.u_max for st in stations)
     demand = rng.uniform(0.3 * cap, 0.9 * cap)
     return stations, demand
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_matches_grid_oracle(seed):
+def oracle_cases(seeds):
+    """The slack-gas-box cases keep their plain seed ids."""
+    return ([pytest.param(s, False, id=str(s)) for s in seeds]
+            + [pytest.param(s, True, id=f"gas-box-{s}") for s in seeds])
+
+
+@pytest.mark.parametrize("seed, gas_box", oracle_cases(range(10)))
+def test_matches_grid_oracle(seed, gas_box):
     rng = np.random.default_rng(seed)
-    stations, demand = random_instance(rng)
+    stations, demand = random_instance(rng, gas_box)
     lam_bar = 1e3 * max(st.cost for st in stations)
     sol = solve_shares(stations, demand, WIDE, ECON_CFG)
     ref = oracle(stations, demand, WIDE, None, lam_bar)
@@ -124,10 +138,10 @@ def test_matches_grid_oracle(seed):
     assert ref[0] - sol.cost <= margin
 
 
-@pytest.mark.parametrize("seed", range(10, 16))
-def test_matches_grid_oracle_with_rate_coupling(seed):
+@pytest.mark.parametrize("seed, gas_box", oracle_cases(range(10, 16)))
+def test_matches_grid_oracle_with_rate_coupling(seed, gas_box):
     rng = np.random.default_rng(seed)
-    stations, demand = random_instance(rng)
+    stations, demand = random_instance(rng, gas_box)
     lam_bar = 1e3 * max(st.cost for st in stations)
     previous = solve_shares(stations, demand, WIDE, ECON_CFG)
     shifted = demand * rng.uniform(0.7, 1.3)
