@@ -133,9 +133,17 @@ def default_config():
     return ScenarioConfig(boilers=boilers, pi_r=pi_r, pi_c=pi_c)
 
 
+_COUNTS = (("timing", "nu"), ("mpc", "horizon"), ("share", "period_slow_steps"),
+           ("ident", "n_f"), ("ident", "n_b"), ("ident", "n_k"),
+           ("ident", "n_levels"), ("ident", "seed"))
+
+
 def validate_config(cfg):
     """Return a list of problems; empty means the record is usable."""
-    issues = []
+    issues = [f"{rec}.{name} must be an integer" for rec, name in _COUNTS
+              if type(getattr(getattr(cfg, rec), name)) is not int]
+    if issues:
+        return issues
     n = len(cfg.boilers)
     if n == 0:
         issues.append("no boilers")
@@ -157,8 +165,12 @@ def validate_config(cfg):
     t = cfg.timing
     if t.dt <= 0 or t.tau <= 0 or t.nu < 1:
         issues.append("non-positive timing entry")
-    elif abs(round(t.tau / t.dt) * t.dt - t.tau) > 1e-9:
-        issues.append("tau must be a multiple of dt")
+    else:
+        if abs(round(t.tau / t.dt) * t.dt - t.tau) > 1e-9:
+            issues.append("tau must be a multiple of dt")
+        periods = t.duration / (t.nu * t.tau)
+        if round(periods) < 1 or abs(round(periods) - periods) > 1e-9:
+            issues.append("duration must be a positive multiple of nu * tau")
     s = cfg.sets
     if not (s.u_min < s.u_max and s.y_min < s.y_max):
         issues.append("empty global interval")
@@ -166,6 +178,10 @@ def validate_config(cfg):
         issues.append("rate cap must be positive")
     if cfg.ident.val_frac <= 0 or cfg.ident.val_frac >= 1:
         issues.append("validation fraction outside (0, 1)")
+    if min(cfg.ident.n_f, cfg.ident.n_b, cfg.ident.n_k) < 1:
+        issues.append("ARX orders must be at least 1")
+    if cfg.ident.ramp_step <= 0:
+        issues.append("identification ramp step must be positive")
     if cfg.mpc.horizon < 2:
         issues.append("horizon must be at least 2")
     if not (0 < cfg.mpc.tube_eps < 1):
@@ -222,9 +238,9 @@ def from_json(text):
             demand=tuple((float(t), float(v)) for t, v in raw["demand"]),
             vw_frac=float(raw["vw_frac"]),
         )
-    except (KeyError, TypeError) as exc:
+        issues = validate_config(cfg)
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"malformed scenario section: {exc}") from exc
-    issues = validate_config(cfg)
     if issues:
         raise ConfigError("; ".join(issues))
     return cfg

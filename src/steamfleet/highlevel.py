@@ -3,16 +3,19 @@
 Chooses which stations burn and how the total steam command splits
 among them.  Activation patterns are enumerated (the fleet is small);
 for each pattern the continuous split solves a convex QP in the active
-per-station flows v_i and the total u_ss:
+per-station flows v_i, with total u_ss = sum v:
 
     min  sum_i cost_i * (gain_i v_i + level_i) + lambda_bar (u_ss - demand)^2
-    s.t. sum v = u_ss, v_i in its steam interval, plant boxes
+    s.t. v_i in its steam interval [lo_i, hi_i], u_ss and total gas in box
 
 A station's steam and gas boxes are one interval on v_i
-(``StationData.steam_interval``); flows are nonnegative and sum to u_ss,
-so every share is in [0, 1].  The demand weight lambda_bar is large, so
-u_ss tracks demand unless a bound binds; dividing the objective through
-by it keeps the QP kernel numerics flat.  Rate coupling
+(``StationData.steam_interval``); flows are nonnegative, so every share
+is in [0, 1].  The QP's variables are w = v - lo, the flows above their
+floors, so u_ss = sum(lo + w) and needs no variable or equality of its
+own, and w = 0 is a feasible start whenever the floors fit the plant
+boxes.  The demand weight lambda_bar is large, so u_ss tracks demand
+unless a bound binds; dividing the objective through by it keeps the QP
+kernel numerics flat.  Rate coupling
 |v_i - alpha_i^prev u_ss^prev| <= alpha_i^prev delta_u narrows the
 interval of stations active in both the previous and the candidate
 pattern: an entrant has no previous share to move from, and a leaver's
@@ -73,47 +76,31 @@ class InfeasibleShareError(RuntimeError):
 
 
 def _pattern_qp(stations, active, demand, sets, cfg, lam_bar, previous):
+    """QP in w = v - lo, the active flows above their floors; returns
+    (H, f, G, h, lo), and u_ss = sum(lo + w).  When the floors fit the
+    plant boxes, w = 0 meets every row and the kernel starts there.
+    """
     m = len(active)
-    n = m + 1
-    H = np.zeros((n, n))
-    for j in range(m):
-        H[j, j] = 2.0 * cfg.reg
-    H[m, m] = 2.0
-    f = np.zeros(n)
+    lo, hi = np.empty(m), np.empty(m)
     for j, i in enumerate(active):
-        f[j] = stations[i].cost * stations[i].gain / lam_bar
-    f[m] = -2.0 * demand
-    A = np.zeros((1, n))
-    A[0, :m] = 1.0
-    A[0, m] = -1.0
-    b = np.zeros(1)
-    rows, rhs = [], []
-
-    def add(coefs, bound):
-        rows.append(coefs)
-        rhs.append(bound)
-
-    e_u = np.zeros(n)
-    e_u[m] = 1.0
-    add(e_u, sets.u_max)
-    add(-e_u, -sets.u_min)
-    lev = sum(stations[i].level for i in active)
-    g_row = np.zeros(n)
-    for j, i in enumerate(active):
-        g_row[j] = stations[i].gain
-    add(g_row, sets.y_max - lev)
-    add(-g_row, -(sets.y_min - lev))
-    for j, i in enumerate(active):
-        lo, hi = stations[i].steam_interval
+        lo[j], hi[j] = stations[i].steam_interval
         if previous is not None and previous.delta[i]:
             centre = previous.alpha[i] * previous.u_ss
             room = previous.alpha[i] * sets.delta_u
-            lo, hi = max(lo, centre - room), min(hi, centre + room)
-        e = np.zeros(n)
-        e[j] = 1.0
-        add(e, hi)
-        add(-e, -lo)
-    return H, f, np.array(rows), np.array(rhs), A, b
+            lo[j], hi[j] = max(lo[j], centre - room), min(hi[j], centre + room)
+    gain = np.array([stations[i].gain for i in active])
+    cost = np.array([stations[i].cost for i in active])
+    u_lo = lo.sum()
+    y_lo = gain @ lo + sum(stations[i].level for i in active)
+    # (sum v - demand)^2 + reg |v|^2 + cost.gain v / lam_bar, less a constant
+    H = 2.0 * cfg.reg * np.eye(m) + 2.0
+    f = 2.0 * (cfg.reg * lo + u_lo - demand) + cost * gain / lam_bar
+    box = np.stack([np.eye(m), -np.eye(m)], axis=1).reshape(2 * m, m)
+    G = np.vstack([np.ones(m), -np.ones(m), gain, -gain, box])
+    h = np.concatenate([[sets.u_max - u_lo, u_lo - sets.u_min,
+                         sets.y_max - y_lo, y_lo - sets.y_min],
+                        np.stack([hi - lo, np.zeros(m)], axis=1).ravel()])
+    return H, f, G, h, lo
 
 
 def _true_cost(stations, active, flows, u_ss, demand, lam_bar):
@@ -140,15 +127,15 @@ def solve_shares(stations, demand, sets, cfg, previous=None):
         if not any(delta):
             continue
         active = [i for i in range(n) if delta[i]]
-        H, f, G, h, A, b = _pattern_qp(stations, active, demand, sets, cfg,
-                                       lam_bar, previous)
-        res = solve_qp(H, f, G, h, A, b)
+        H, f, G, h, lo = _pattern_qp(stations, active, demand, sets, cfg,
+                                     lam_bar, previous)
+        res = solve_qp(H, f, G, h)
         if res.status != "optimal":
             diagnostics[delta] = res.status
             continue
         m = len(active)
-        flows = res.x[:m]
-        u_ss = float(res.x[m])
+        flows = lo + res.x
+        u_ss = float(flows.sum())
         worst = max(float(np.max(G @ res.x - h)), 0.0)
         if worst > 1e-7:
             diagnostics[delta] = f"violated by {worst:.2e}"
@@ -164,8 +151,8 @@ def solve_shares(stations, demand, sets, cfg, previous=None):
         # total command; a nonpositive floor disables the guard (width is
         # roundoff-noisy at vertex optima, where it is exactly zero)
         if cfg.min_headroom > 0.0 and u_ss > 1e-9:
-            lo, hi = command_bounds(stations, alpha, sets)
-            width = hi - lo
+            u_lo, u_hi = command_bounds(stations, alpha, sets)
+            width = u_hi - u_lo
             if width < cfg.min_headroom:
                 diagnostics[delta] = (f"command headroom {width:.4f} below "
                                       f"floor {cfg.min_headroom}")

@@ -9,11 +9,11 @@ its fixed cycle and triggers an ensemble/controller rebuild plus a
 rate-budgeted hand-off move.
 
 The observed one-step ensemble mismatch is audited against the
-certified bound the tube margins rest on, and every measured flow is
-checked against its box at each slow step; violations are recorded,
-never silently clipped.  A zero bound (every station on its own
-dynamics, e.g. one boiler) covers no identification residual and is
-not audited.
+certified bound the tube margins rest on, and every command and
+measured flow is checked against its box at every fast period;
+violations are recorded, never silently clipped.  A zero bound (every
+station on its own dynamics, e.g. one boiler) covers no identification
+residual and is not audited.
 
 The loop keeps model-length histories: each station holds the newest
 ``n_f`` outputs and ``n_b_eff - 1`` inputs its canonical state reads,
@@ -207,9 +207,10 @@ def _distribute(u_bar, delta, alpha):
     return u
 
 
-def _audit(t, u_bar, du, u_cmds, y_meas, delta, meas_delta, boilers, sets,
+def _audit(t, du, u_cmds, y_meas, delta, meas_delta, boilers, sets,
            tol=1e-9):
-    """Constraint check at one slow boundary.
+    """Constraint check at one fast period; ``du`` is the total command
+    step, zero between slow boundaries.
 
     Steam commands are judged under the configuration issuing them;
     measured gas is judged only for stations that were already active
@@ -282,7 +283,7 @@ def run_scenario(cfg, idents=None):
     report.hl_solves = 1
     last_solve_step = 0
     slow, ctrl = reconfigure(0.0, shares)
-    r = slow.gain * shares.u_ss
+    r = slow.gain * shares.u_ss + slow.gamma
 
     states = [init_station(p, q, cfg.vw_frac)
               for p, q in zip(cfg.boilers, shares.flows)]
@@ -312,6 +313,7 @@ def run_scenario(cfg, idents=None):
         for h, q_g in zip(y_hists, y_meas):
             h.append(q_g)
 
+        du, meas_delta = 0.0, shares.delta
         if j == 0:
             # u histories end at u(k-1): the new commands land only when
             # the period is applied
@@ -326,7 +328,6 @@ def run_scenario(cfg, idents=None):
                         f"certified bound {w_inf:.6g}")
 
             demand = demand_at(cfg.demand, t)
-            meas_delta = shares.delta
             first_move = None
             if m > 0 and should_resolve(demand, shares, m - last_solve_step,
                                         cfg.share):
@@ -353,7 +354,7 @@ def run_scenario(cfg, idents=None):
                     slow, ctrl = reconfigure(t, shares)
                 else:
                     shares = new_shares
-                r = slow.gain * shares.u_ss
+                r = slow.gain * shares.u_ss + slow.gamma
 
             x_now = ensemble_state(x_stations, shares.delta)
             xi0 = velocity_state(x_stations, x_stations_prev, y_meas,
@@ -370,9 +371,9 @@ def run_scenario(cfg, idents=None):
             x_stations_prev = x_stations
             u_cmds = _distribute(u_bar, shares.delta, shares.alpha)
 
-            report.violations.extend(
-                _audit(t, u_bar, du, u_cmds, y_meas, shares.delta,
-                       meas_delta, cfg.boilers, cfg.sets))
+        report.violations.extend(
+            _audit(tf, du, u_cmds, y_meas, shares.delta, meas_delta,
+                   cfg.boilers, cfg.sets))
 
         p_row = tuple(st.boiler.p for st in states)
         vw_row = tuple(st.boiler.V_w for st in states)

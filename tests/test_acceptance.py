@@ -1,8 +1,9 @@
 """Eleven end-to-end acceptance gates, one test each.
 
 Each test pins its tolerance and its runtime budget where one applies;
-shared fixtures run identification and the full default scenario once
-per session and remember their wall time.
+shared fixtures run identification once per module, remembering its
+wall time, and the full default scenario once per session
+(``conftest.py``), with one fresh rerun for c11.
 """
 
 import time
@@ -20,8 +21,7 @@ from steamfleet.lowlevel import (init_station, run_station, settling_time,
 from steamfleet.mpc import build_controller, command_bounds
 from steamfleet.outputs import write_timeseries
 from steamfleet.qp import solve_qp
-from steamfleet.scenario import (run_identification, run_scenario,
-                                 select_template)
+from steamfleet.scenario import run_identification, select_template
 from steamfleet.sysid import realize
 
 from test_highlevel import ECON_CFG, WIDE, greedy_split, oracle, random_instance
@@ -35,11 +35,6 @@ def fleet_models():
     t0 = time.perf_counter()
     idents = run_identification(CFG)
     return idents, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def default_run():
-    return run_scenario(CFG)
 
 
 def test_c01_pressure_loop_settling_time_in_band():
@@ -274,9 +269,8 @@ def test_c10_default_scenario_clean(default_run):
     assert report.wall_ms < 60e3
 
 
-def test_c11_deterministic_timeseries(default_run, tmp_path):
-    again = run_scenario(CFG)
+def test_c11_deterministic_timeseries(default_run, default_rerun, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_timeseries(default_run, a)
-    write_timeseries(again, b)
+    write_timeseries(default_rerun, b)
     assert a.read_bytes() == b.read_bytes()

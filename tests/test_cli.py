@@ -3,8 +3,11 @@
 import dataclasses
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steamfleet import cli, scenario
 from steamfleet.boiler import ModelValidityError
@@ -47,6 +50,59 @@ def test_validate_config_rejects_empty_demand(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(to_json(dataclasses.replace(BASE, demand=())))
     assert cli.main(["validate-config", str(path)]) == 1
+
+
+def _set_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    # shorter than one slow period: no frame would be written
+    (("timing", "duration"), 10.0),
+    # not a whole number of slow periods: would be rounded silently
+    (("timing", "duration"), 3615.0),
+    # the identification ramp would never reach its next level
+    (("ident", "ramp_step"), 0.0),
+    (("ident", "n_f"), 0),
+    (("boilers", 0, "V_T"), "1.2"),
+    (("boilers", 0, "V_T"), None),
+    (("timing", "nu"), 2.5),
+])
+def test_validate_config_rejects_what_the_run_cannot_handle(
+        tmp_path, capsys, path, value):
+    doc = json.loads(to_json(BASE))
+    _set_leaf(doc["scenario"], path, value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["validate-config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix]
+    return [p for key, child in items for p in _leaf_paths(child, prefix + (key,))]
+
+
+DEFAULT_DOC = json.loads(to_json(BASE))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(_leaf_paths(DEFAULT_DOC)),
+       st.sampled_from([None, "x", [], -1, 0, 2.5]))
+def test_validate_config_never_raises_on_a_swapped_leaf(path, value):
+    doc = json.loads(json.dumps(DEFAULT_DOC))
+    _set_leaf(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", str(cfg_path)]) in (0, 1)
 
 
 def test_missing_file_is_an_error(tmp_path):
@@ -194,3 +250,28 @@ def test_broken_mismatch_certificate_exits_two(tmp_path, monkeypatch, capsys):
     assert found
     for _, w_obs, w_cert in found:
         assert float(w_obs) > float(w_cert) > 0.0
+
+
+def test_gas_breach_between_slow_boundaries_exits_two(tmp_path, monkeypatch,
+                                                      capsys):
+    # a gas sample outside boiler 1's box in fast period j = 1 of the
+    # first slow period (t = 10 s) must be audited like one at j = 0
+    real = scenario.gas_update
+    calls = []
+
+    def breach(params, *args):
+        q_g, loop_r = real(params, *args)
+        calls.append(params)
+        if len(calls) == 2:
+            q_g = params.q_g_min - 0.01
+        return q_g, loop_r
+
+    monkeypatch.setattr(scenario, "gas_update", breach)
+    path = tmp_path / "cfg.json"
+    path.write_text(to_json(small_config()))
+    rc = cli.main(["run", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert re.search(r"violation: t=10s boiler 1 gas \S+ outside box", err)
+    assert re.findall(r"violation: t=(\d+)s", err) == ["10"] * err.count("\n")

@@ -6,9 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steamfleet.config import GlobalSets, ShareConfig
+from steamfleet.config import GlobalSets, ShareConfig, default_config
 from steamfleet.highlevel import (InfeasibleShareError, ShareSolution,
-                                  StationData, should_resolve, solve_shares)
+                                  StationData, _pattern_qp, should_resolve,
+                                  solve_shares, station_data)
 
 CFG = ShareConfig()
 # the headroom guard trades optimality for a usable command interval, so the
@@ -255,6 +256,30 @@ def test_degenerate_zero_total():
     assert sol.u_ss == pytest.approx(0.0, abs=1e-9)
     assert sol.degenerate
     assert sum(sol.alpha) == pytest.approx(1.0)
+
+
+def test_station_floors_start_every_shipped_pattern(default_run):
+    # w = 0, every active flow at its floor, meets every row for each
+    # pattern of the shipped fleet along the default schedule, so the
+    # QP kernel starts there and never runs phase 1
+    cfg = default_config()
+    stations = [station_data(p, s.model)
+                for p, s in zip(cfg.boilers, default_run.idents)]
+    lam_bar = 1e3 * max(st.cost for st in stations)
+    previous = None
+    for _, demand in cfg.demand:
+        for delta in product((0, 1), repeat=len(stations)):
+            active = [i for i, d in enumerate(delta) if d]
+            if not active:
+                continue
+            H, f, G, h, lo = _pattern_qp(stations, active, demand, cfg.sets,
+                                         cfg.share, lam_bar, previous)
+            m = len(active)
+            assert H.shape == (m, m) and f.shape == lo.shape == (m,)
+            assert G.shape == (2 * m + 4, m)
+            assert min(h) >= 0.0, (demand, delta)
+        previous = solve_shares(stations, demand, cfg.sets, cfg.share,
+                                previous=previous)
 
 
 def test_resolve_trigger_rules():

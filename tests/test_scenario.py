@@ -21,11 +21,6 @@ def single_boiler(demand, duration):
         timing=dataclasses.replace(BASE.timing, duration=duration))
 
 
-@pytest.fixture(scope="module")
-def default_report():
-    return run_scenario(BASE)
-
-
 def test_identical_plants_identify_identically():
     cfg = dataclasses.replace(
         BASE, boilers=(BASE.boilers[0], BASE.boilers[0]),
@@ -78,27 +73,37 @@ def test_single_boiler_constant_demand_offset_free():
     assert abs(tail.y_bar - tail.r_hat) <= 1e-3
 
 
-def test_command_split_conserves_total_exactly(default_report):
-    for f in default_report.frames:
+def test_command_split_conserves_total_exactly(default_run):
+    for f in default_run.frames:
         assert sum(f.qs) == f.u_bar
 
 
-def test_frames_cover_every_fast_period(default_report):
-    frames = default_report.frames
+def test_frames_cover_every_fast_period(default_run):
+    frames = default_run.frames
     assert len(frames) == int(BASE.timing.duration / BASE.timing.tau)
     gaps = {round(b.t - a.t, 9) for a, b in zip(frames, frames[1:])}
     assert gaps == {BASE.timing.tau}
 
 
-def test_default_run_is_violation_free(default_report):
-    assert default_report.violations == []
-    assert default_report.max_w_obs <= default_report.w_certified
+def test_gas_target_carries_the_ensemble_level(default_run):
+    # dispatch models each active station's gas as gain_i v_i + level_i,
+    # so the target for a total u_ss includes the summed levels
+    models = [s.model for s in default_run.idents]
+    for f in default_run.frames:
+        expected = sum(m.gain * a * f.u_ss + m.gamma
+                       for m, a, d in zip(models, f.alpha, f.delta) if d)
+        assert f.r == pytest.approx(expected, rel=1e-9, abs=0.0), f.t
 
 
-def test_adds_on_rises_removes_on_drop(default_report):
+def test_default_run_is_violation_free(default_run):
+    assert default_run.violations == []
+    assert default_run.max_w_obs <= default_run.w_certified
+
+
+def test_adds_on_rises_removes_on_drop(default_run):
     changes = []
     prev = None
-    for f in default_report.frames:
+    for f in default_run.frames:
         n = sum(f.delta)
         if prev is not None and n != prev:
             changes.append((f.t, n - prev))
@@ -115,13 +120,13 @@ def test_adds_on_rises_removes_on_drop(default_report):
         assert (now - before) * dn > 0
 
 
-def test_same_seed_reproduces_the_run(default_report):
-    again = run_scenario(BASE)
-    assert len(again.frames) == len(default_report.frames)
-    for a, b in zip(again.frames, default_report.frames):
+def test_same_seed_reproduces_the_run(default_run, default_rerun):
+    again = default_rerun
+    assert len(again.frames) == len(default_run.frames)
+    for a, b in zip(again.frames, default_run.frames):
         assert a == b
-    assert again.violations == default_report.violations
-    assert again.hl_solves == default_report.hl_solves
+    assert again.violations == default_run.violations
+    assert again.hl_solves == default_run.hl_solves
 
 
 def test_template_failure_names_the_boilers():
