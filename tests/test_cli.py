@@ -52,32 +52,7 @@ def test_validate_config_rejects_empty_demand(tmp_path):
     assert cli.main(["validate-config", str(path)]) == 1
 
 
-def _set_leaf(doc, path, value):
-    for key in path[:-1]:
-        doc = doc[key]
-    doc[path[-1]] = value
-
-
-@pytest.mark.parametrize("path, value", [
-    # shorter than one slow period: no frame would be written
-    (("timing", "duration"), 10.0),
-    # not a whole number of slow periods: would be rounded silently
-    (("timing", "duration"), 3615.0),
-    # the identification ramp would never reach its next level
-    (("ident", "ramp_step"), 0.0),
-    (("ident", "n_f"), 0),
-    (("boilers", 0, "V_T"), "1.2"),
-    (("boilers", 0, "V_T"), None),
-    (("timing", "nu"), 2.5),
-])
-def test_validate_config_rejects_what_the_run_cannot_handle(
-        tmp_path, capsys, path, value):
-    doc = json.loads(to_json(BASE))
-    _set_leaf(doc["scenario"], path, value)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
-    assert cli.main(["validate-config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+DEFAULT_DOC = json.loads(to_json(BASE))
 
 
 def _leaf_paths(node, prefix=()):
@@ -87,22 +62,48 @@ def _leaf_paths(node, prefix=()):
         items = enumerate(node)
     else:
         return [prefix]
-    return [p for key, child in items for p in _leaf_paths(child, prefix + (key,))]
+    return [p for key, child in items
+            for p in _leaf_paths(child, prefix + (key,))]
 
 
-DEFAULT_DOC = json.loads(to_json(BASE))
+def _write_swapped(directory, path, value):
+    """The default document with the leaf at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(DEFAULT_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = Path(directory) / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    return str(cfg_path)
+
+
+@pytest.mark.parametrize("path, value", [
+    # shorter than one slow period: no frame would be written
+    (("scenario", "timing", "duration"), 10.0),
+    # not a whole number of slow periods: would be rounded silently
+    (("scenario", "timing", "duration"), 3615.0),
+    # the identification ramp would never reach its next level
+    (("scenario", "ident", "ramp_step"), 0.0),
+    (("scenario", "ident", "n_f"), 0),
+    (("scenario", "boilers", 0, "V_T"), "1.2"),
+    (("scenario", "boilers", 0, "V_T"), None),
+    (("scenario", "timing", "nu"), 2.5),
+])
+def test_validate_config_rejects_what_the_run_cannot_handle(
+        tmp_path, capsys, path, value):
+    cfg_path = _write_swapped(tmp_path, path, value)
+    assert cli.main(["validate-config", cfg_path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(_leaf_paths(DEFAULT_DOC)),
        st.sampled_from([None, "x", [], -1, 0, 2.5]))
 def test_validate_config_never_raises_on_a_swapped_leaf(path, value):
-    doc = json.loads(json.dumps(DEFAULT_DOC))
-    _set_leaf(doc, path, value)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        assert cli.main(["validate-config", str(cfg_path)]) in (0, 1)
+        cfg_path = _write_swapped(tmp, path, value)
+        assert cli.main(["validate-config", cfg_path]) in (0, 1)
 
 
 def test_missing_file_is_an_error(tmp_path):
