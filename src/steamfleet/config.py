@@ -8,6 +8,8 @@ throughout; individual layers read only their own sub-record.
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .boiler import BoilerParams
@@ -133,15 +135,41 @@ def default_config():
     return ScenarioConfig(boilers=boilers, pi_r=pi_r, pi_c=pi_c)
 
 
-_COUNTS = (("timing", "nu"), ("mpc", "horizon"), ("share", "period_slow_steps"),
-           ("ident", "n_f"), ("ident", "n_b"), ("ident", "n_k"),
-           ("ident", "n_levels"), ("ident", "seed"))
+def _type_issues(value, kind, name):
+    """Leaves of ``value`` that do not match the annotation ``kind``.
+
+    Records and tuples are walked field by field; ``int`` leaves must be
+    ``int`` (not ``bool``), ``float`` leaves finite real numbers, and
+    ``float | None`` leaves may also be ``None``.
+    """
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, kind):
+            return [f"{name} must be a record"]
+        return [issue for f in dataclasses.fields(kind)
+                for issue in _type_issues(getattr(value, f.name), f.type,
+                                          f"{name}.{f.name}" if name else f.name)]
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, tuple):
+            return [f"{name} must be a list"]
+        args = typing.get_args(kind)
+        kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) != len(value):
+            return [f"{name} must have {len(kinds)} entries"]
+        return [issue for i, (v, k) in enumerate(zip(value, kinds))
+                for issue in _type_issues(v, k, f"{name}[{i}]")]
+    if kind is int:
+        return [] if type(value) is int else [f"{name} must be an integer"]
+    if value is None and kind is not float:
+        return []
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return []
+    return [f"{name} must be a finite number"]
 
 
 def validate_config(cfg):
     """Return a list of problems; empty means the record is usable."""
-    issues = [f"{rec}.{name} must be an integer" for rec, name in _COUNTS
-              if type(getattr(getattr(cfg, rec), name)) is not int]
+    issues = _type_issues(cfg, ScenarioConfig, "")
     if issues:
         return issues
     n = len(cfg.boilers)
@@ -180,6 +208,10 @@ def validate_config(cfg):
         issues.append("validation fraction outside (0, 1)")
     if min(cfg.ident.n_f, cfg.ident.n_b, cfg.ident.n_k) < 1:
         issues.append("ARX orders must be at least 1")
+    if cfg.ident.n_levels < 0:
+        issues.append("identification level count must not be negative")
+    if cfg.ident.seed < 0:
+        issues.append("identification seed must not be negative")
     if cfg.ident.ramp_step <= 0:
         issues.append("identification ramp step must be positive")
     if cfg.mpc.horizon < 2:

@@ -12,7 +12,8 @@ alpha on the simplex, the weighted sum of reference states obeys
 when every active station receives u_i = alpha_i * u.  The price is a
 per-station one-step mismatch w between reference and identified
 dynamics; ``estimate_disturbance_bound`` turns the rate cap on u into
-a certified box bound on w at the slow scale.
+a certified box bound on w at the slow scale.  Shares carry no
+per-station cap, so that bound is the worst single station's.
 """
 
 from dataclasses import dataclass
@@ -190,13 +191,14 @@ def _station_mismatch(ref, actual, delta_u, nu, tol, hard_cap):
     return delta_u * float(np.max(accum)), r
 
 
-def estimate_disturbance_bound(refs, actuals, delta_u, nu, alpha_caps=None,
-                               safety=1.25, tol=1e-13, hard_cap=2000):
+def estimate_disturbance_bound(refs, actuals, delta_u, nu, safety=1.25,
+                               tol=1e-13, hard_cap=2000):
     """Certified box bound on the ensemble one-step mismatch.
 
-    Per-station worst cases are combined over every share vector on the
-    simplex respecting ``alpha_caps`` (greedy fill of the largest
-    mismatches), then inflated by ``safety``.
+    Per-station worst cases are per unit share and the shares lie on the
+    simplex with no per-station cap, so the worst share vector puts all
+    load on the worst station: the bound is the largest per-station
+    mismatch, inflated by ``safety``.
     """
     per = []
     steps = 0
@@ -204,17 +206,6 @@ def estimate_disturbance_bound(refs, actuals, delta_u, nu, alpha_caps=None,
         m, r = _station_mismatch(ref, act, delta_u, nu, tol, hard_cap)
         per.append(m)
         steps = max(steps, r)
-    if alpha_caps is None:
-        alpha_caps = [1.0] * len(per)
-    order = sorted(range(len(per)), key=lambda i: -per[i])
-    remaining, raw = 1.0, 0.0
-    for i in order:
-        take = min(alpha_caps[i], remaining)
-        raw += take * per[i]
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    if remaining > 1e-12:
-        raise ValueError("share caps cannot cover the simplex")
+    raw = max(per)
     return DisturbanceBound(w_inf=safety * raw, per_station=tuple(per),
                             raw=raw, safety=safety, steps=steps)

@@ -23,12 +23,22 @@ requested r by a large weight; when tightened bounds make r unreachable
 the plan settles on the closest admissible point instead of going
 infeasible.  The terminal equality (zero state increment, output at
 r_hat) pins the tail of the plan to a steady point.
+
+The QP over theta = [du_0 .. du_{N-1}; r_hat] is condensed once per
+share configuration.  Its Hessian H, inequality rows G and terminal
+equality rows A_eq are fixed; every datum that moves with the measured
+velocity state xi0 is an affine map of it,
+
+    f    = f_xi xi0 - 2 rho r e_N        b_eq = b_xi xi0
+    h    = h0 + h_u u_prev + h_xi xi0    y    = y_rows theta + y_xi xi0
+
+so each solve is these products and one QP.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import solve_discrete_are, toeplitz
 
 from .qp import solve_qp
 from .sysid import canonical_state
@@ -87,62 +97,44 @@ def design_feedback(A_T, B_T, C, cfg):
 
 @dataclass(frozen=True, eq=False)
 class TubeDesign:
-    K: np.ndarray
-    A_cl: np.ndarray
     m_u: np.ndarray        # input-direction margins, index j = 0..N
     m_y: np.ndarray        # output-direction margins
     m_u_inf: float
     m_y_inf: float
-    m_du_inf: float
     cutoff: int            # truncation power
-
-
-def _support_table(A_cl, direction, w_inf, n_steps, cutoff, infl):
-    """h_{Z_j}(q) for j = 0..n_steps plus the asymptotic bound.
-
-    Exact partial sums up to the cutoff power; past it every entry
-    saturates at the tail-inflated asymptote so no margin ever sits
-    below the true support.
-    """
-    q = direction.reshape(-1)
-    acc = []
-    entry_sum = 0.0
-    P = np.eye(A_cl.shape[0])
-    for _ in range(cutoff):
-        acc.append(float(np.sum(np.abs(P.T @ q))))
-        entry_sum += float(np.sum(np.abs(P)))
-        P = A_cl @ P
-    partial = np.cumsum([0.0] + acc)
-    h_inf = w_inf * (partial[cutoff]
-                     + entry_sum * float(np.max(np.abs(q))) * infl)
-    vals = np.empty(n_steps + 1)
-    for j in range(n_steps + 1):
-        vals[j] = w_inf * partial[j] if j <= cutoff else h_inf
-    return vals, h_inf
 
 
 def build_tube(A_cl, K, C, w_inf, horizon, eps, max_power=500):
     """Margins for every prediction step and the asymptotic tube.
 
-    The cutoff power p satisfies |A_cl^p|_1 <= eps, so stacking m copies
-    of the truncated sum bounds the tail by the entry-sum constant times
-    eps/(1-eps) scaled with the direction's max coefficient.
+    One walk over the powers A_cl^l gives the cutoff, the first power p
+    with |A_cl^p|_1 <= eps, and both support tables: h_{Z_j}(q) =
+    w_inf sum_{l<j} |(A_cl^l)' q|_1 for q = K and q = C, exact up to the
+    cutoff.  Past it every margin saturates at the asymptote, which
+    bounds the tail of m stacked copies of the truncated sum by the
+    entry-sum constant times eps/(1-eps) scaled with the direction's max
+    coefficient, so no margin ever sits below the true support.
     """
-    P = A_cl.copy()
-    cutoff = None
-    for p in range(1, max_power + 1):
+    dirs = (np.ravel(K), np.ravel(C))
+    P = np.eye(A_cl.shape[0])
+    terms, entry_sum = [np.zeros(2)], 0.0
+    for cutoff in range(1, max_power + 1):
+        terms.append([np.sum(np.abs(P.T @ q)) for q in dirs])
+        entry_sum += float(np.sum(np.abs(P)))
+        P = A_cl @ P
         if float(np.max(np.sum(np.abs(P), axis=0))) <= eps:
-            cutoff = p
             break
-        P = P @ A_cl
-    if cutoff is None:
+    else:
         raise GainDesignError(
             f"error loop does not contract below {eps} within {max_power} powers")
-    infl = eps / (1.0 - eps)
-    m_u, m_u_inf = _support_table(A_cl, K, w_inf, horizon, cutoff, infl)
-    m_y, m_y_inf = _support_table(A_cl, C, w_inf, horizon, cutoff, infl)
-    return TubeDesign(K=K, A_cl=A_cl, m_u=m_u, m_y=m_y, m_u_inf=m_u_inf,
-                      m_y_inf=m_y_inf, m_du_inf=2.0 * m_u_inf, cutoff=cutoff)
+    partial = np.cumsum(terms, axis=0)      # row j: sums over powers < j
+    q_max = np.array([np.max(np.abs(q)) for q in dirs])
+    m_inf = w_inf * (partial[cutoff] + entry_sum * q_max * (eps / (1.0 - eps)))
+    steps = np.arange(horizon + 1)
+    m = np.where((steps <= cutoff)[:, None],
+                 w_inf * partial[np.minimum(steps, cutoff)], m_inf)
+    return TubeDesign(m_u=m[:, 0], m_y=m[:, 1], m_u_inf=float(m_inf[0]),
+                      m_y_inf=float(m_inf[1]), cutoff=cutoff)
 
 
 def command_bounds(stations, alpha, sets):
@@ -164,7 +156,6 @@ def command_bounds(stations, alpha, sets):
 @dataclass(frozen=True, eq=False)
 class MpcSolution:
     u_cmd: float
-    du0: float
     r_hat: float
     du_seq: np.ndarray
     cost: float
@@ -173,26 +164,26 @@ class MpcSolution:
 
 @dataclass(frozen=True, eq=False)
 class MpcController:
+    """The tracking QP of one share configuration in parametric form.
+
+    Every field is fixed when the controller is built: the QP matrices
+    ``H``, ``G`` and ``A_eq``, and the maps from the measured state
+    ``xi0`` (and ``u_prev``) to the linear term, the right-hand sides
+    and the predicted outputs (module docstring).  The first two rows of
+    ``G`` bound |du_0|.
+    """
     tube: TubeDesign
-    lo_cmd: float
-    hi_cmd: float
-    y_lo: float
-    y_hi: float
-    horizon: int
-    q_y: float
     rho: float
-    n: int                  # ensemble state dimension (without output)
-    # state-independent parts of the tracking QP, built once per controller
-    powers: tuple           # A_v^j, j = 0..N, of the velocity model
-    y_rows: np.ndarray      # y_j as linear forms over theta, less y_free[j]
-    L: np.ndarray           # y_rows[j] - e_r: the tracking error forms
     H: np.ndarray
-    A_eq: np.ndarray
     G: np.ndarray
-    rate_caps: np.ndarray   # |du_l| bounds after tube back-off
-    h0: np.ndarray          # G rows' bound is h0 + h_u u_prev + h_y y_free
+    A_eq: np.ndarray
+    h0: np.ndarray
     h_u: np.ndarray
-    h_y: np.ndarray
+    h_xi: np.ndarray
+    f_xi: np.ndarray
+    b_xi: np.ndarray
+    y_rows: np.ndarray
+    y_xi: np.ndarray
 
     def solve(self, xi0, u_prev, r, first_move=None):
         """One receding-horizon step.
@@ -202,111 +193,88 @@ class MpcController:
         a share reconfiguration.  Decision vector is the N nominal
         increments followed by the internal target r_hat.
         """
-        N = self.horizon
-        nv = N + 1
-        xi0 = np.asarray(xi0, dtype=float).reshape(self.n + 1)
-        caps = self.rate_caps
+        xi0 = np.asarray(xi0, dtype=float).reshape(-1)
+        h = self.h0 + self.h_u * u_prev + self.h_xi @ xi0
         if first_move is not None:
-            caps = caps.copy()
-            caps[0] = min(caps[0], first_move)
-        for l, cap in enumerate(caps.tolist()):
-            if cap <= 0.0:
-                raise MpcInfeasibleError(
-                    f"rate cap exhausted by tube margins at step {l}",
-                    {"cap": cap, "step": l})
-
-        y_free = np.array([(P @ xi0)[-1] for P in self.powers])
-        term_free = (self.powers[N] @ xi0)[:self.n]
-        f = np.zeros(nv)
-        for j in range(1, N + 1):
-            f += 2.0 * self.q_y * y_free[j] * self.L[j]
-        f[N] += -2.0 * self.rho * r
-        b_eq = np.concatenate([-term_free, [-y_free[N]]])
-        h = self.h0 + self.h_u * u_prev + self.h_y @ y_free
-        h[:2] = caps[0]                 # the first two rows bound du_0
-
-        res = solve_qp(self.H, f, self.G, h, self.A_eq, b_eq)
+            h[:2] = min(h[0], first_move)
+        if h[0] <= 0.0:
+            raise MpcInfeasibleError(
+                "rate cap exhausted by tube margins at step 0",
+                {"cap": float(h[0]), "step": 0})
+        f = self.f_xi @ xi0
+        f[-1] -= 2.0 * self.rho * r
+        res = solve_qp(self.H, f, self.G, h, self.A_eq, self.b_xi @ xi0)
         if res.status != "optimal":
             raise MpcInfeasibleError(
                 f"tracking problem {res.status}",
                 {"u_prev": u_prev, "xi0": xi0.tolist(), "r": r,
                  "first_move": first_move})
         theta = res.x
-        du = theta[:N]
-        return MpcSolution(u_cmd=float(u_prev + du[0]), du0=float(du[0]),
-                           r_hat=float(theta[N]), du_seq=du.copy(),
-                           cost=float(res.obj),
-                           predicted_y=self.y_rows @ theta + y_free)
+        du = theta[:-1]
+        return MpcSolution(u_cmd=float(u_prev + du[0]), r_hat=float(theta[-1]),
+                           du_seq=du.copy(), cost=float(res.obj),
+                           predicted_y=self.y_rows @ theta + self.y_xi @ xi0)
 
 
-def _tracking_qp(A_v, B_v, tube, n, lo_cmd, hi_cmd, sets, cfg):
-    """State-independent matrices of the tracking QP over theta = [du; r_hat].
+def _tracking_qp(A_v, B_v, tube, lo_cmd, hi_cmd, sets, cfg):
+    """Fixed data of the tracking QP over theta = [du; r_hat].
 
-    Returns the :class:`MpcController` fields from ``powers`` on.  Rows
-    of G come in pairs (upper, lower bound): rate caps per step, the
+    Returns the :class:`MpcController` fields from ``H`` on.  Rows of G
+    come in pairs (upper, lower bound): rate caps per step, the
     cumulative command per step, the predicted output at steps 1..N-1,
     and r_hat inside the asymptotically tightened output interval.
+    Raises :class:`MpcInfeasibleError` when the tube margins exhaust the
+    rate cap of a step.
     """
     N = cfg.horizon
     nv = N + 1
-    y_lo, y_hi = sets.y_min, sets.y_max
-    powers = [np.eye(n + 1)]
+    nx = A_v.shape[0]
+    powers = [np.eye(nx)]
     for _ in range(N):
         powers.append(A_v @ powers[-1])
-    pB = [(powers[m] @ B_v).reshape(-1) for m in range(N)]
-
+    y_xi = np.array([P[-1] for P in powers])      # free outputs
+    M = np.column_stack([P @ B_v for P in powers[:N]])  # column m: A_v^m B_v
     y_rows = np.zeros((N + 1, nv))
-    for j in range(1, N + 1):
-        for l in range(j):
-            y_rows[j, l] = pB[j - 1 - l][-1]
-    e_r = np.zeros(nv)
-    e_r[N] = 1.0
-    L = y_rows - e_r
+    y_rows[1:, :N] = toeplitz(M[-1], np.zeros(N))
+    eye = np.eye(nv)
+    e_r = eye[N]
+    L = y_rows[1:] - e_r        # tracking errors y_j - r_hat less free part
+    H = 2.0 * (cfg.q_y * L.T @ L
+               + np.diag(np.append(np.full(N, cfg.r_du), cfg.rho)))
+    A_eq = np.zeros((nx, nv))
+    A_eq[:, :N] = M[:, ::-1]
+    A_eq[-1, N] = -1.0
 
-    H = np.zeros((nv, nv))
-    for j in range(1, N + 1):
-        H += 2.0 * cfg.q_y * np.outer(L[j], L[j])
-    for l in range(N):
-        H[l, l] += 2.0 * cfg.r_du
-    H += 2.0 * cfg.rho * np.outer(e_r, e_r)
+    rows, h0, h_u, h_xi = [], [], [], []
 
-    A_eq = np.zeros((n + 1, nv))
-    for l in range(N):
-        A_eq[:n, l] = pB[N - 1 - l][:n]
-    A_eq[n] = L[N]
-
-    rows, h0, h_u, h_y = [], [], [], []
-
-    def add_pair(row, upper, lower, u_coef=0.0, y_j=None):
+    def add_pair(row, upper, lower, u_coef=0.0, xi_row=np.zeros(nx)):
         """Rows ``row`` <= upper and -row <= -lower; the bounds shift by
-        -u_prev and -y_free[y_j] when those coefficients are set."""
+        -u_coef u_prev and -xi_row xi0."""
         for sign, bound in ((1.0, upper), (-1.0, -lower)):
             rows.append(sign * row)
             h0.append(bound)
             h_u.append(-sign * u_coef)
-            y_row = np.zeros(N + 1)
-            if y_j is not None:
-                y_row[y_j] = -sign
-            h_y.append(y_row)
+            h_xi.append(-sign * xi_row)
 
-    rate_caps = np.empty(N)
     for l in range(N):
-        rate_caps[l] = sets.delta_u - (tube.m_u[l]
-                                       + (tube.m_u[l - 1] if l else 0.0))
-        e = np.zeros(nv)
-        e[l] = 1.0
-        add_pair(e, rate_caps[l], -rate_caps[l])
+        cap = sets.delta_u - (tube.m_u[l] + (tube.m_u[l - 1] if l else 0.0))
+        if cap <= 0.0:
+            raise MpcInfeasibleError(
+                f"rate cap exhausted by tube margins at step {l}",
+                {"cap": cap, "step": l})
+        add_pair(eye[l], cap, -cap)
+    cum = np.tril(np.ones((N, nv)))
     for j in range(N):
         margin = tube.m_u_inf if j == N - 1 else tube.m_u[j]
-        cum = np.zeros(nv)
-        cum[:j + 1] = 1.0
-        add_pair(cum, hi_cmd - margin, lo_cmd + margin, u_coef=1.0)
+        add_pair(cum[j], hi_cmd - margin, lo_cmd + margin, u_coef=1.0)
     for j in range(1, N):
-        add_pair(y_rows[j], y_hi - tube.m_y[j], y_lo + tube.m_y[j], y_j=j)
-    add_pair(e_r, y_hi - tube.m_y_inf, y_lo + tube.m_y_inf)
-    return dict(powers=tuple(powers), y_rows=y_rows, L=L, H=H, A_eq=A_eq,
-                G=np.array(rows), rate_caps=rate_caps, h0=np.array(h0),
-                h_u=np.array(h_u), h_y=np.array(h_y))
+        add_pair(y_rows[j], sets.y_max - tube.m_y[j],
+                 sets.y_min + tube.m_y[j], xi_row=y_xi[j])
+    add_pair(e_r, sets.y_max - tube.m_y_inf, sets.y_min + tube.m_y_inf)
+    return dict(H=H, G=np.array(rows), A_eq=A_eq, h0=np.array(h0),
+                h_u=np.array(h_u), h_xi=np.array(h_xi),
+                f_xi=2.0 * cfg.q_y * L.T @ y_xi[1:], b_xi=-powers[N],
+                y_rows=y_rows, y_xi=y_xi)
 
 
 def build_controller(slow, stations, alpha, sets, w_inf, cfg):
@@ -325,23 +293,21 @@ def build_controller(slow, stations, alpha, sets, w_inf, cfg):
     if hi - lo <= 0.0:
         raise MpcInfeasibleError("empty command interval before tightening",
                                  {"lo": lo, "hi": hi})
+    m_du_inf = 2.0 * tube.m_u_inf
     margins = {"m_u_inf": tube.m_u_inf, "m_y_inf": tube.m_y_inf,
-               "m_du_inf": tube.m_du_inf, "cutoff": tube.cutoff}
+               "m_du_inf": m_du_inf, "cutoff": tube.cutoff}
     checks = [
         (tube.m_u_inf, 0.5 * (hi - lo), "command interval"),
         (tube.m_y_inf, 0.5 * (sets.y_max - sets.y_min), "production interval"),
-        (tube.m_du_inf, sets.delta_u, "rate cap"),
+        (m_du_inf, sets.delta_u, "rate cap"),
     ]
     for margin, half_width, what in checks:
         if margin > cfg.margin_frac_max * half_width:
             raise TubeTooLargeError(
                 f"{what}: margin {margin:.4g} exceeds "
                 f"{cfg.margin_frac_max:.0%} of {half_width:.4g}", margins)
-    return MpcController(tube=tube, lo_cmd=lo, hi_cmd=hi, y_lo=sets.y_min,
-                         y_hi=sets.y_max, horizon=cfg.horizon, q_y=cfg.q_y,
-                         rho=cfg.rho, n=slow.n,
-                         **_tracking_qp(A_v, B_v, tube, slow.n, lo, hi, sets,
-                                        cfg))
+    return MpcController(tube=tube, rho=cfg.rho,
+                         **_tracking_qp(A_v, B_v, tube, lo, hi, sets, cfg))
 
 
 def first_move_cap(prev_alpha, prev_delta, alpha, delta, du_cap):

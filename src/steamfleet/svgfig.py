@@ -21,21 +21,18 @@ class Series:
     ys: tuple
     label: str = ""
     color: str = PALETTE[0]
-    width: float = 1.4
     dash: str | None = None
     step: bool = False       # hold-last rendering for piecewise data
 
 
 @dataclass(frozen=True)
 class Band:
-    """Filled region between two curves sharing an x grid."""
+    """Filled region between two step curves sharing an x grid."""
     xs: tuple
     lo: tuple
     hi: tuple
     label: str = ""
     color: str = PALETTE[0]
-    opacity: float = 0.55
-    step: bool = True
 
 
 @dataclass(frozen=True)
@@ -166,12 +163,10 @@ def _render_panel(out, panel, top, width, height, xlabel):
     for b in panel.bands:
         if not b.xs:
             continue
-        up = _step_points(b.xs, b.hi) if b.step else list(zip(b.xs, b.hi))
-        dn = _step_points(b.xs, b.lo) if b.step else list(zip(b.xs, b.lo))
-        pts = up + dn[::-1]
+        pts = _step_points(b.xs, b.hi) + _step_points(b.xs, b.lo)[::-1]
         coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
         out.append(f'<polygon points="{coords}" fill="{b.color}" '
-                   f'fill-opacity="{b.opacity}" stroke="none"/>')
+                   'fill-opacity="0.55" stroke="none"/>')
     for g in panel.guides:
         y = sy(g.y)
         out.append(f'<line x1="{_fmt(px0)}" y1="{_fmt(y)}" '
@@ -184,7 +179,7 @@ def _render_panel(out, panel, top, width, height, xlabel):
         coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(f'<polyline points="{coords}" fill="none" '
-                   f'stroke="{s.color}" stroke-width="{s.width}"{dash}/>')
+                   f'stroke="{s.color}" stroke-width="1.4"{dash}/>')
 
     # legend: labelled swatches along the top edge of the plot box
     x_leg = px0 + 8.0

@@ -89,6 +89,11 @@ def _write_swapped(directory, path, value):
     (("scenario", "boilers", 0, "V_T"), "1.2"),
     (("scenario", "boilers", 0, "V_T"), None),
     (("scenario", "timing", "nu"), 2.5),
+    # a float of the wrong type, a negative level count and a negative
+    # seed each pass a count-only check, then break ``identify``
+    (("scenario", "pi_r", 0, "k_p"), "x"),
+    (("scenario", "ident", "n_levels"), -1),
+    (("scenario", "ident", "seed"), -1),
 ])
 def test_validate_config_rejects_what_the_run_cannot_handle(
         tmp_path, capsys, path, value):

@@ -210,38 +210,17 @@ def test_bound_attained_by_sign_matched_extremal_input():
 
 
 def test_simplex_aggregation_greedy_fill():
-    """Stations with unequal mismatch: the bound loads the worst ones
-    up to their caps."""
+    """Stations with unequal mismatch: with uncapped shares the bound
+    loads the single worst station."""
     sts = [ArxModel(f=(-1.05, 0.29, -0.01), b=(0.31, 0.08), n_k=1, c=0.0, tau=10.0),
            ArxModel(f=(-0.95, 0.21, 0.0), b=(0.40, 0.02), n_k=1, c=0.0, tau=10.0),
            ArxModel(f=(-1.15, 0.35, -0.03), b=(0.22, 0.12), n_k=1, c=0.0, tau=10.0)]
     refs = [make_reference(s, TEMPLATE) for s in sts]
     actuals = [realize(s) for s in sts]
-    caps = [0.5, 0.8, 0.4]
-    bound = estimate_disturbance_bound(refs, actuals, 0.5, 3,
-                                       alpha_caps=caps, safety=1.25)
-    per = list(bound.per_station)
-    assert all(m > 0 for m in per)
-    order = sorted(range(3), key=lambda i: -per[i])
-    remaining, expect = 1.0, 0.0
-    for i in order:
-        take = min(caps[i], remaining)
-        expect += take * per[i]
-        remaining -= take
-    assert bound.raw == pytest.approx(expect, rel=1e-12)
-    assert bound.w_inf == pytest.approx(1.25 * expect, rel=1e-12)
-    # uncapped case reduces to the single worst station
     free = estimate_disturbance_bound(refs, actuals, 0.5, 3, safety=1.0)
+    per = list(free.per_station)
+    assert all(m > 0 for m in per)
     assert free.w_inf == pytest.approx(max(per), rel=1e-12)
-
-
-def test_simplex_caps_must_cover():
-    sts = [station(0.6, 0.0), station(0.7, 0.0)]
-    refs = [make_reference(s, TEMPLATE) for s in sts]
-    actuals = [realize(s) for s in sts]
-    with pytest.raises(ValueError, match="caps"):
-        estimate_disturbance_bound(refs, actuals, 0.5, 3,
-                                   alpha_caps=[0.3, 0.3])
 
 
 def test_non_decaying_mismatch_raises():

@@ -154,7 +154,13 @@ def test_margins_monotone_and_below_asymptote():
     assert np.all(np.diff(tube.m_y) >= -1e-15)
     assert tube.m_u_inf >= tube.m_u[-1]
     assert tube.m_y_inf >= tube.m_y[-1]
-    assert tube.m_du_inf == pytest.approx(2.0 * tube.m_u_inf)
+    # the rate cap backs off twice the asymptotic input margin
+    sets = GlobalSets(u_min=0.05, u_max=6.0, y_min=0.0, y_max=6.0,
+                      delta_u=3.0 * tube.m_u_inf)
+    with pytest.raises(TubeTooLargeError, match="rate cap") as err:
+        build_controller(two_state_model(), [wide_station()], [1.0], sets,
+                         0.02, cfg)
+    assert err.value.margins["m_du_inf"] == pytest.approx(2.0 * tube.m_u_inf)
 
 
 def test_margin_attained_by_extremal_disturbance():
@@ -247,14 +253,15 @@ def test_offset_free_under_constant_disturbance():
 
 
 def test_unreachable_target_settles_at_tightened_edge():
-    ctrl, _, _ = make_controller()
+    ctrl, sets, _ = make_controller()
+    _, hi_cmd = command_bounds([wide_station()], [1.0], sets)
     ys, us, r_hats = plant_loop(ctrl, 10.0, 120)
-    u_edge = ctrl.hi_cmd - ctrl.tube.m_u_inf
-    expected = min(ctrl.y_hi - ctrl.tube.m_y_inf,
+    u_edge = hi_cmd - ctrl.tube.m_u_inf
+    expected = min(sets.y_max - ctrl.tube.m_y_inf,
                    GAIN2 * u_edge + GAMMA2)
     assert abs(r_hats[-1] - expected) < 1e-7
     assert abs(ys[-1] - expected) < 1e-6
-    assert us[-1] <= ctrl.hi_cmd + 1e-9
+    assert us[-1] <= hi_cmd + 1e-9
 
 
 def test_terminal_rows_hold_in_plan():
@@ -263,6 +270,21 @@ def test_terminal_rows_hold_in_plan():
     xi0 = np.concatenate([np.zeros(2), [float(C2 @ x) + GAMMA2]])
     sol = ctrl.solve(xi0, 1.0, 2.5)
     assert sol.predicted_y[-1] == pytest.approx(sol.r_hat, abs=1e-8)
+
+
+def test_predicted_outputs_follow_the_velocity_model():
+    # the plan's outputs are the lifted model rolled out from xi0 under
+    # the planned increments, at every step of the horizon
+    ctrl, _, cfg = make_controller()
+    xi0 = np.array([0.01, -0.02, 1.3])
+    sol = ctrl.solve(xi0, 1.0, 2.0)
+    A_v, B_v = velocity_model(A2, B2, C2)
+    xi, ys = xi0.copy(), [xi0[-1]]
+    for du in sol.du_seq:
+        xi = A_v @ xi + B_v.reshape(-1) * du
+        ys.append(xi[-1])
+    assert len(sol.predicted_y) == cfg.horizon + 1
+    assert np.allclose(sol.predicted_y, ys, rtol=0.0, atol=1e-9)
 
 
 def test_solve_is_deterministic():
@@ -279,16 +301,17 @@ def test_solve_is_deterministic():
 def test_bounds_kept_and_offset_dies_under_box_disturbance():
     w_inf = 0.02
     ctrl, sets, _ = make_controller(w_inf=w_inf)
+    lo_cmd, hi_cmd = command_bounds([wide_station()], [1.0], sets)
     r = 2.0
     for trial in range(8):
         rng = np.random.default_rng(100 + trial)
         w = rng.uniform(-w_inf, w_inf, size=(60, 2))
         w[20:] = w[20]                  # freeze after 20 steps
         ys, us, r_hats = plant_loop(ctrl, r, 60, w_seq=w)
-        assert np.all(ys >= ctrl.y_lo - 1e-9)
-        assert np.all(ys <= ctrl.y_hi + 1e-9)
-        assert np.all(us >= ctrl.lo_cmd - 1e-9)
-        assert np.all(us <= ctrl.hi_cmd + 1e-9)
+        assert np.all(ys >= sets.y_min - 1e-9)
+        assert np.all(ys <= sets.y_max + 1e-9)
+        assert np.all(us >= lo_cmd - 1e-9)
+        assert np.all(us <= hi_cmd + 1e-9)
         steps = np.abs(np.diff(np.concatenate([[1.0], us])))
         assert np.max(steps) <= sets.delta_u + 1e-12
         assert np.all(np.abs(ys[40:] - r_hats[40:]) <= 1e-3)
@@ -308,6 +331,21 @@ def test_oversized_tube_rejected():
     with pytest.raises(TubeTooLargeError) as err:
         make_controller(w_inf=2.0)
     assert "m_u_inf" in err.value.margins
+
+
+def test_zero_first_move_exhausts_the_step_zero_cap():
+    ctrl, _, _ = make_controller()
+    with pytest.raises(MpcInfeasibleError, match="at step 0") as err:
+        ctrl.solve(np.array([0.0, 0.0, 2.0]), 1.0, 2.0, first_move=0.0)
+    assert err.value.diagnostics["step"] == 0
+
+
+def test_rate_cap_exhausted_by_margins_fails_at_build():
+    # margin_frac_max past 1 lets the tube eat a later step's whole cap,
+    # which no measurement can restore
+    with pytest.raises(MpcInfeasibleError,
+                       match="rate cap exhausted by tube margins at step 1"):
+        make_controller(w_inf=0.5, margin_frac_max=100.0)
 
 
 def test_unrecoverable_command_infeasible():
