@@ -12,9 +12,25 @@ Internally the energy balance is evaluated in strict SI (Pa, J), which is
 what makes the bare ``V_T`` pressure-work term in the capacity function
 dimensionally consistent (J/Pa = m3).  The public interface stays in bar
 and kJ/kg to match the parameter tables.
+
+The arithmetic lives once, in the float kernel ``_rates``: from the
+saturation record at ``p`` and the floats ``V_w``, ``q_g``, ``q_f`` and
+``q_s`` it returns the capacity ``phi`` and both rates.  ``simulate``
+runs its RK4 steps on ``p`` and ``V_w`` as bare floats and builds one
+:class:`BoilerState` at the end; :func:`phi` and :func:`derivatives`
+are wrappers over the same kernel.  The validity checks, in the order
+they run at every RK4 stage:
+
+* ``saturation`` rejects a pressure outside [10, 100] bar
+  (:class:`~steamfleet.properties.PressureRangeError`);
+* the kernel rejects ``V_w`` outside ``(0, V_T)``, then ``phi <= 0``
+  (:class:`ModelValidityError`).
+
+After each step ``simulate`` checks ``V_w`` again; the end pressure is
+checked by the next stage that reads it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .properties import saturation
 
@@ -85,11 +101,48 @@ class ModelValidityError(RuntimeError):
     """State left the region where the lumped model is meaningful."""
 
 
-def _check_state(params, state):
-    if not (0.0 < state.V_w < params.V_T):
-        raise ModelValidityError(
-            f"V_w={state.V_w!r} outside (0, {params.V_T}) m3"
-        )
+def _outside(params, V_w):
+    return ModelValidityError(f"V_w={V_w!r} outside (0, {params.V_T}) m3")
+
+
+def _rates(params, s, V_w, q_g, q_f, q_s):
+    """The plant kernel: ``(phi, dp/dt, dV_w/dt)`` on bare floats.
+
+    ``s`` is the :class:`SaturationPoint` at the pressure; the caller
+    takes it from ``saturation``, which checks the pressure range.  This
+    checks ``0 < V_w < V_T`` and ``phi > 0``, in that order.
+    """
+    V_T = params.V_T
+    if not (0.0 < V_w < V_T):
+        raise _outside(params, V_w)
+    p, _, rho_w, rho_s, h_w_kj, h_s_kj, dT_s_dp, drho_w_dp, drho_s_dp, \
+        dh_w_dp, dh_s_dp = s
+    V_s = V_T - V_w
+    h_w = h_w_kj * _KJ
+    h_s = h_s_kj * _KJ
+    drho_w = drho_w_dp / _BAR
+    drho_s = drho_s_dp / _BAR
+    dh_w = dh_w_dp * _KJ / _BAR
+    dh_s = dh_s_dp * _KJ / _BAR
+    dT_s = dT_s_dp / _BAR
+    drho = rho_w - rho_s
+    cap = (
+        V_s * (h_s * drho_s + rho_s * dh_s)
+        + V_w * (h_w * drho_w + rho_w * dh_w)
+        + V_T
+        + params.m_T * params.c_p * _KJ * dT_s
+        - (drho_w * V_w + drho_s * V_s) * (rho_w * h_w - rho_s * h_s) / drho
+    )
+    if cap <= 0.0:
+        raise ModelValidityError(f"phi={cap!r} <= 0 at p={p!r} bar")
+    power = (
+        params.eta * params.lambda_lhv * _KJ * q_g
+        + q_f * (params.h_f - h_w_kj) * _KJ
+        - q_s * (h_s_kj - h_w_kj) * _KJ
+    )
+    dp_dt = power / cap / _BAR
+    dVw_dt = (drho_w_dp * V_w + drho_s_dp * V_s) / drho * dp_dt
+    return cap, dp_dt, dVw_dt
 
 
 def phi(params, state, s):
@@ -102,74 +155,43 @@ def phi(params, state, s):
     pressure dynamics to be well posed; raises
     :class:`ModelValidityError` otherwise.
     """
-    _check_state(params, state)
-    V_w = state.V_w
-    V_s = params.V_T - V_w
-    h_w = s.h_w * _KJ
-    h_s = s.h_s * _KJ
-    drho_w = s.drho_w_dp / _BAR
-    drho_s = s.drho_s_dp / _BAR
-    dh_w = s.dh_w_dp * _KJ / _BAR
-    dh_s = s.dh_s_dp * _KJ / _BAR
-    dT_s = s.dT_s_dp / _BAR
-    mass_slope = drho_w * V_w + drho_s * V_s
-    val = (
-        V_s * (h_s * drho_s + s.rho_s * dh_s)
-        + V_w * (h_w * drho_w + s.rho_w * dh_w)
-        + params.V_T
-        + params.m_T * params.c_p * _KJ * dT_s
-        - mass_slope * (s.rho_w * h_w - s.rho_s * h_s) / (s.rho_w - s.rho_s)
-    )
-    if val <= 0.0:
-        raise ModelValidityError(f"phi={val!r} <= 0 at p={state.p!r} bar")
-    return val
+    return _rates(params, s, state.V_w, 0.0, 0.0, 0.0)[0]
 
 
 def derivatives(params, state, inputs):
     """Time derivatives (dp/dt [bar/s], dV_w/dt [m3/s])."""
-    s = saturation(state.p)
-    cap = phi(params, state, s)
-    power = (
-        params.eta * params.lambda_lhv * _KJ * inputs.q_g
-        + inputs.q_f * (params.h_f - s.h_w) * _KJ
-        - inputs.q_s * (s.h_s - s.h_w) * _KJ
-    )
-    dp_dt = power / cap / _BAR
-    V_s = params.V_T - state.V_w
-    mass_slope = s.drho_w_dp * state.V_w + s.drho_s_dp * V_s
-    dVw_dt = mass_slope / (s.rho_w - s.rho_s) * dp_dt
+    _, dp_dt, dVw_dt = _rates(params, saturation(state.p), state.V_w,
+                              inputs.q_g, inputs.q_f, inputs.q_s)
     return dp_dt, dVw_dt
-
-
-def step(params, state, inputs, dt):
-    """One fourth-order Runge-Kutta step of length ``dt`` seconds."""
-
-    def f(st):
-        return derivatives(params, st, inputs)
-
-    k1p, k1v = f(state)
-    k2p, k2v = f(BoilerState(state.p + 0.5 * dt * k1p, state.V_w + 0.5 * dt * k1v))
-    k3p, k3v = f(BoilerState(state.p + 0.5 * dt * k2p, state.V_w + 0.5 * dt * k2v))
-    k4p, k4v = f(BoilerState(state.p + dt * k3p, state.V_w + dt * k3v))
-    new = BoilerState(
-        state.p + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-        state.V_w + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
-    _check_state(params, new)
-    return new
 
 
 def simulate(params, state, inputs, duration, dt):
     """Integrate with zero-order-hold inputs over ``duration`` seconds.
 
-    ``duration`` must be an integer multiple of ``dt``.
+    Fourth-order Runge-Kutta steps of length ``dt`` on ``p`` and ``V_w``
+    as bare floats; ``duration`` must be an integer multiple of ``dt``.
     """
     n = round(duration / dt)
     if abs(n * dt - duration) > 1e-9:
         raise ValueError(f"duration {duration} not a multiple of dt {dt}")
+    q_g, q_f, q_s = inputs.q_g, inputs.q_f, inputs.q_s
+    V_T = params.V_T
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    p, V_w = state.p, state.V_w
     for _ in range(n):
-        state = step(params, state, inputs, dt)
-    return state
+        _, k1p, k1v = _rates(params, saturation(p), V_w, q_g, q_f, q_s)
+        _, k2p, k2v = _rates(params, saturation(p + half * k1p),
+                             V_w + half * k1v, q_g, q_f, q_s)
+        _, k3p, k3v = _rates(params, saturation(p + half * k2p),
+                             V_w + half * k2v, q_g, q_f, q_s)
+        _, k4p, k4v = _rates(params, saturation(p + dt * k3p),
+                             V_w + dt * k3v, q_g, q_f, q_s)
+        p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        V_w = V_w + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (0.0 < V_w < V_T):
+            raise _outside(params, V_w)
+    return BoilerState(p, V_w)
 
 
 def balance_gas(params, p, q_s, q_f=None):

@@ -214,10 +214,18 @@ def validate_config(cfg):
         issues.append("identification seed must not be negative")
     if cfg.ident.ramp_step <= 0:
         issues.append("identification ramp step must be positive")
+    # identification holds each level for round(hold_s / tau) periods
+    hold_s = cfg.ident.hold_s
+    if hold_s <= 0 or (t.tau > 0 and round(hold_s / t.tau) < 1):
+        issues.append("identification hold must cover a fast period")
     if cfg.mpc.horizon < 2:
         issues.append("horizon must be at least 2")
     if not (0 < cfg.mpc.tube_eps < 1):
         issues.append("tube cutoff outside (0, 1)")
+    if cfg.mpc.w_safety < 1:
+        issues.append("certificate inflation w_safety must be at least 1")
+    if not (0 < cfg.vw_frac < 1):
+        issues.append("initial liquid fraction vw_frac outside (0, 1)")
     if not cfg.demand:
         issues.append("empty demand schedule")
     last = None

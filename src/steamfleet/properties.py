@@ -6,12 +6,14 @@ extra fitting weight around the 57 bar operating point.  The coefficients
 are frozen constants produced by ``scripts/fit_saturation_polynomials.py``;
 derivatives are the exact analytic derivatives of the fitted polynomials,
 so every property curve is smooth and self-consistent by construction.
+``saturation`` evaluates all ten fits in straight-line Horner form and
+returns them as one :class:`SaturationPoint` named tuple.
 
 Units: pressure in bar, temperature in K, density in kg/m3, specific
 enthalpy in kJ/kg.  Derivatives are per bar.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 P_MIN = 10.0
 P_MAX = 100.0
@@ -88,17 +90,14 @@ _D_RHO_S_C = _dcoef(_RHO_S_C)
 _D_H_W_C = _dcoef(_H_W_C)
 _D_H_S_C = _dcoef(_H_S_C)
 
-
-def _horner(c, u):
-    acc = 0.0
-    for ck in reversed(c):
-        acc = acc * u + ck
-    return acc
+# du/dp: each slope in u is multiplied by it to give a slope per bar
+_DU_DP = 1.0 / _P_HALFSPAN
 
 
-@dataclass(frozen=True)
-class SaturationPoint:
+class SaturationPoint(NamedTuple):
     """Saturation state and pressure slopes at one pressure.
+
+    A named tuple, so the plant kernel can unpack it in one step.
 
     Attributes
     ----------
@@ -130,22 +129,35 @@ class SaturationPoint:
 def saturation(p):
     """Saturation properties at pressure ``p`` in bar.
 
+    Each fit is written out in Horner form, innermost bracket on the
+    highest power: ``(((c5*u + c4)*u + c3)*u + ...)*u + c0``.  That is
+    the association of a loop over the coefficients from the top, so
+    the unrolled form gives the same floats without a call per fit.
+
     Raises :class:`PressureRangeError` outside [10, 100] bar.
     """
     if not (P_MIN <= p <= P_MAX):
         raise PressureRangeError(p)
     u = (p - _P_CENTER) / _P_HALFSPAN
-    s = 1.0 / _P_HALFSPAN
-    return SaturationPoint(
-        p=p,
-        T_s=_horner(_TSAT_C, u),
-        rho_w=_horner(_RHO_W_C, u),
-        rho_s=_horner(_RHO_S_C, u),
-        h_w=_horner(_H_W_C, u),
-        h_s=_horner(_H_S_C, u),
-        dT_s_dp=_horner(_D_TSAT_C, u) * s,
-        drho_w_dp=_horner(_D_RHO_W_C, u) * s,
-        drho_s_dp=_horner(_D_RHO_S_C, u) * s,
-        dh_w_dp=_horner(_D_H_W_C, u) * s,
-        dh_s_dp=_horner(_D_H_S_C, u) * s,
-    )
+    c0, c1, c2, c3, c4, c5 = _TSAT_C
+    T_s = ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
+    c0, c1, c2, c3, c4, c5 = _RHO_W_C
+    rho_w = ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
+    c0, c1, c2, c3, c4, c5 = _RHO_S_C
+    rho_s = ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
+    c0, c1, c2, c3, c4, c5 = _H_W_C
+    h_w = ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
+    c0, c1, c2, c3, c4, c5 = _H_S_C
+    h_s = ((((c5 * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
+    d0, d1, d2, d3, d4 = _D_TSAT_C
+    dT_s = ((((d4 * u + d3) * u + d2) * u + d1) * u + d0) * _DU_DP
+    d0, d1, d2, d3, d4 = _D_RHO_W_C
+    drho_w = ((((d4 * u + d3) * u + d2) * u + d1) * u + d0) * _DU_DP
+    d0, d1, d2, d3, d4 = _D_RHO_S_C
+    drho_s = ((((d4 * u + d3) * u + d2) * u + d1) * u + d0) * _DU_DP
+    d0, d1, d2, d3, d4 = _D_H_W_C
+    dh_w = ((((d4 * u + d3) * u + d2) * u + d1) * u + d0) * _DU_DP
+    d0, d1, d2, d3, d4 = _D_H_S_C
+    dh_s = ((((d4 * u + d3) * u + d2) * u + d1) * u + d0) * _DU_DP
+    return SaturationPoint(p, T_s, rho_w, rho_s, h_w, h_s,
+                           dT_s, drho_w, drho_s, dh_w, dh_s)

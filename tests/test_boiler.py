@@ -6,12 +6,14 @@ expressions term by term in strict SI from the saturation record at
 the same property fits but is exercised as a black box here).
 """
 
+import re
+
 import pytest
 
 from steamfleet.boiler import (BoilerInputs, BoilerState, ModelValidityError,
-                               balance_gas, derivatives, phi, simulate, step)
+                               balance_gas, derivatives, phi, simulate)
 from steamfleet.config import default_fleet
-from steamfleet.properties import saturation
+from steamfleet.properties import P_MAX, PressureRangeError, saturation
 
 B1 = default_fleet()[0]
 MID = BoilerState(p=57.0, V_w=0.5 * B1.V_T)
@@ -21,6 +23,24 @@ PHI_B1_57 = 63.995651555293286        # J/Pa
 DPDT_ORACLE = 0.02208517928448084     # bar/s at (q_g=.4, q_f=.55, q_s=.6)
 DVWDT_ORACLE = -2.4766786873546708e-05
 BALANCE_GAS_06 = 0.37261340672232207  # kg/s holding 57 bar at q_s=0.6
+# Captured from the plant before its float kernel and compared with ==,
+# so a reordering of the plant arithmetic shows.  A rounding change in
+# one rate is mostly absorbed when it is added to the state, so the
+# rates are pinned as well as the end states.
+# (phi, dp/dt, dV_w/dt) at (p, V_w / V_T) under (q_g=.4, q_f=.55, q_s=.6):
+KERNEL_PINS = [
+    ((20.0, 0.3), (116.07769690059025, 0.01040055535250091,
+                   -9.017731999498168e-06)),
+    ((57.0, 0.5), (63.995651555293286, 0.02208517928448086,
+                   -2.476678687354673e-05)),
+    ((90.0, 0.8), (54.64993039321311, 0.032326901904403314,
+                   -7.261274371218502e-05)),
+]
+# (p, V_w) after simulate(B1, MID, inputs, 600.0, 1.0):
+RK4_600S_PINS = [
+    (BoilerInputs(BALANCE_GAS_06, 0.6, 0.6), (57.0, 0.605)),
+    (BoilerInputs(0.4, 0.55, 0.6), (72.17023407580989, 0.5891760335194487)),
+]
 
 
 def test_capacity_matches_frozen_hand_evaluation():
@@ -104,12 +124,38 @@ def test_liquid_volume_bounds_guarded(v_w):
         phi(B1, BoilerState(57.0, v_w), SAT_57)
 
 
+@pytest.mark.parametrize("point, pinned", KERNEL_PINS,
+                         ids=["20bar", "57bar", "90bar"])
+def test_kernel_is_bit_exact(point, pinned):
+    p, frac = point
+    state = BoilerState(p, frac * B1.V_T)
+    inputs = BoilerInputs(q_g=0.4, q_f=0.55, q_s=0.6)
+    assert (phi(B1, state, saturation(p)),
+            *derivatives(B1, state, inputs)) == pinned
+
+
+@pytest.mark.parametrize("inputs, pinned", RK4_600S_PINS,
+                         ids=["balanced", "unbalanced"])
+def test_simulate_is_bit_exact_over_600s(inputs, pinned):
+    end = simulate(B1, MID, inputs, 600.0, 1.0)
+    assert (end.p, end.V_w) == pinned
+
+
 def test_step_rejects_escape_from_validity_region():
-    # Absurd feed flow drives V_w past V_T within one step.
+    # Absurd steam draw with no feed swells V_w past V_T at an RK4 stage
+    # of the second step; the message names the volume.
     tight = BoilerState(57.0, 0.999 * B1.V_T)
-    with pytest.raises(ModelValidityError):
-        for _ in range(600):
-            tight = step(B1, tight, BoilerInputs(q_g=0.0, q_f=0.0, q_s=1.2), 1.0)
+    msg = "V_w=1.2102061228623966 outside (0, 1.21) m3"
+    with pytest.raises(ModelValidityError, match=re.escape(msg)):
+        simulate(B1, tight, BoilerInputs(q_g=0.0, q_f=0.0, q_s=1.2), 600.0, 1.0)
+
+
+def test_pressure_leaving_the_fits_inside_a_period_raises():
+    # Heat in excess climbs past 100 bar at an RK4 stage, not at a
+    # period boundary.
+    with pytest.raises(PressureRangeError) as err:
+        simulate(B1, MID, BoilerInputs(q_g=0.5, q_f=0.55, q_s=0.6), 600.0, 1.0)
+    assert err.value.p > P_MAX
 
 
 def test_static_gain_chain():

@@ -94,6 +94,14 @@ def _write_swapped(directory, path, value):
     (("scenario", "pi_r", 0, "k_p"), "x"),
     (("scenario", "ident", "n_levels"), -1),
     (("scenario", "ident", "seed"), -1),
+    # a deflating safety factor shrinks the certificate the tube rests on
+    (("scenario", "mpc", "w_safety"), 0.5),
+    # no held level: identification would fit on the ramps alone; a
+    # hold under half of tau rounds to no period as well
+    (("scenario", "ident", "hold_s"), 0.0),
+    (("scenario", "ident", "hold_s"), 4.0),
+    # a full drum fails the first RK4 stage of the run
+    (("scenario", "vw_frac"), 1.0),
 ])
 def test_validate_config_rejects_what_the_run_cannot_handle(
         tmp_path, capsys, path, value):

@@ -11,6 +11,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from steamfleet import properties
 from steamfleet.properties import (H_FEED_105C, P_MAX, P_MIN,
                                    PressureRangeError, saturation)
 
@@ -119,3 +120,30 @@ def test_everything_finite_across_range():
         for f in (s.T_s, s.rho_w, s.rho_s, s.h_w, s.h_s, s.dT_s_dp,
                   s.drho_w_dp, s.drho_s_dp, s.dh_w_dp, s.dh_s_dp):
             assert math.isfinite(f)
+
+
+def _loop_horner(c, u):
+    acc = 0.0
+    for ck in reversed(c):
+        acc = acc * u + ck
+    return acc
+
+
+def _loop_saturation(p):
+    # The fits evaluated one coefficient at a time, from the highest
+    # power down, with the slopes taken from the differentiated tuples.
+    u = (p - properties._P_CENTER) / properties._P_HALFSPAN
+    du_dp = 1.0 / properties._P_HALFSPAN
+    fits = (properties._TSAT_C, properties._RHO_W_C, properties._RHO_S_C,
+            properties._H_W_C, properties._H_S_C)
+    values = [_loop_horner(c, u) for c in fits]
+    slopes = [_loop_horner([(k + 1) * c[k + 1] for k in range(len(c) - 1)], u)
+              * du_dp for c in fits]
+    return (p, *values, *slopes)
+
+
+def test_unrolled_fits_equal_loop_horner_bit_for_bit():
+    grid = [P_MIN + (P_MAX - P_MIN) * k / 900 for k in range(901)]
+    assert grid[0] == P_MIN and grid[-1] == P_MAX
+    for p in grid:
+        assert tuple(saturation(p)) == _loop_saturation(p), p

@@ -50,3 +50,23 @@ def test_simulate_takes_duration_and_dt_fourth_and_fifth():
     # the RK4 step counter reads args[3] / args[4] of boiler.simulate
     params = list(inspect.signature(_module("boiler").simulate).parameters)
     assert params[3:5] == ["duration", "dt"]
+
+
+def test_simulate_calls_saturation_through_the_boiler_binding(monkeypatch):
+    # The saturation counter wraps ``boiler.saturation``; a plant kernel
+    # that inlined the fits would leave it reading 0.
+    boiler = _module("boiler")
+    params = _module("config").default_fleet()[0]
+    start = boiler.BoilerState(params.p_sp, 0.5 * params.V_T)
+    q_g = boiler.balance_gas(params, params.p_sp, 0.6)
+    calls = []
+    original = boiler.saturation
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(boiler, "saturation", counted)
+    boiler.simulate(params, start, boiler.BoilerInputs(q_g, 0.6, 0.6),
+                    10.0, 1.0)
+    assert len(calls) == 40    # four RK4 stages per step, ten steps
