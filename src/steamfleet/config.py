@@ -184,6 +184,8 @@ def validate_config(cfg):
             issues.append(f"boiler {i}: efficiency outside (0, 1]")
         if b.lambda_lhv <= 0:
             issues.append(f"boiler {i}: non-positive heating value")
+        if b.lambda_cost <= 0:
+            issues.append(f"boiler {i}: non-positive fuel cost")
         if not (0 <= b.q_s_min < b.q_s_max):
             issues.append(f"boiler {i}: bad steam interval")
         if not (0 <= b.q_g_min < b.q_g_max):
@@ -218,6 +220,9 @@ def validate_config(cfg):
     hold_s = cfg.ident.hold_s
     if hold_s <= 0 or (t.tau > 0 and round(hold_s / t.tau) < 1):
         issues.append("identification hold must cover a fast period")
+    # dispatch divides the fuel cost by the demand weight
+    if cfg.share.lambda_bar is not None and cfg.share.lambda_bar <= 0:
+        issues.append("demand weight lambda_bar must be positive")
     if cfg.mpc.horizon < 2:
         issues.append("horizon must be at least 2")
     if not (0 < cfg.mpc.tube_eps < 1):

@@ -8,8 +8,18 @@ linear programs work too).  The method is a primal active-set iteration
 with null-space steps; semidefinite reduced Hessians are handled by
 splitting the reduced gradient into curved and flat directions, riding
 the flat ones until a constraint blocks or the problem is certified
-unbounded.  Feasibility comes from a strictly convex one-slack phase-1
-problem, so the caller never supplies a starting point.
+unbounded.  A cold start takes its feasible point from the least-norm
+solution of the equalities or, failing that, a strictly convex
+one-slack phase-1 problem.
+
+A caller that re-solves a similar problem may instead guess the optimal
+working set (``active``, typically the previous solve's).  The kernel
+holds those rows as equalities, factors them once and steps to their
+minimizer; if the rows are consistent, leave no flat direction and that
+point violates no other row, the iteration starts there with that
+working set and often only reads the multipliers.  Any other guess falls
+back to the cold start unchanged, so a guess can cost time but never the
+answer.
 
 Each working set is factored once by a plain SVD (``numpy.linalg.svd``,
 with the rank rule of ``scipy.linalg.null_space``), which yields both
@@ -24,6 +34,7 @@ so a given problem always returns the identical result.
 """
 
 import bisect
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +136,34 @@ def _ratio_test(G, h, x, d, free, alpha):
     return alpha, blocker
 
 
-def _active_set(H, f, G, h, A, b, x, work, tol, max_iter):
+def _basis(H, M):
+    """Factors of the working-set matrix ``M`` for one Newton step.
+
+    Returns (Ur, Vr, NV, w_step, flat): the :func:`_factor` multiplier
+    factors, the eigenvectors NV of the reduced Hessian in full
+    coordinates, their curvatures ``w_step`` and the indices ``flat`` of
+    the flat ones, whose curvature is set infinite so that a Newton step
+    moves only along the curved ones.  The last three are None when M
+    leaves no null space.
+    """
+    Ur, Vr, N = _factor(M, H.shape[0])
+    NV = w_step = flat = None
+    if N.shape[1]:
+        Hr = N.T @ H @ N
+        w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+        thresh = max(1e-12 * max(float(w[-1]), 1.0), 1e-14)
+        NV = N @ V
+        flat = (~(w > thresh)).nonzero()[0]
+        w_step = w.copy()
+        w_step[flat] = np.inf
+    return Ur, Vr, NV, w_step, flat
+
+
+def _active_set(H, f, G, h, A, b, x, work, tol, max_iter, basis=None):
     """Iterate from a feasible ``x`` with starting working set ``work``.
 
-    Returns (status, x, lam_full, nu, active, iterations).
+    ``basis`` optionally hands over the :func:`_basis` factors of
+    ``work``.  Returns (status, x, lam_full, nu, active, iterations).
     """
     n = x.size
     m = 0 if G is None else G.shape[0]
@@ -138,26 +173,13 @@ def _active_set(H, f, G, h, A, b, x, work, tol, max_iter):
     free[work] = False
     scale = max(1.0, float(np.max(np.abs(H))), float(np.max(np.abs(f), initial=0.0)))
     step_tol = 1e-11 * scale
-    basis = None    # factors of the working set, rebuilt only when it changes
     for it in range(1, max_iter + 1):
         if basis is None:
+            # factors of the working set, rebuilt only when it changes
             M = G[work] if work else np.zeros((0, n))
             if A is not None:
                 M = np.concatenate((A, M))
-            Ur, Vr, N = _factor(M, n)
-            # eigenvectors of the reduced Hessian in full coordinates; flat
-            # ones get an infinite curvature so that a Newton step moves
-            # only along the curved ones
-            NV = w_step = flat = None
-            if N.shape[1]:
-                Hr = N.T @ H @ N
-                w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
-                thresh = max(1e-12 * max(float(w[-1]), 1.0), 1e-14)
-                NV = N @ V
-                flat = (~(w > thresh)).nonzero()[0]
-                w_step = w.copy()
-                w_step[flat] = np.inf
-            basis = Ur, Vr, NV, w_step, flat
+            basis = _basis(H, M)
         Ur, Vr, NV, w_step, flat = basis
         g = H @ x + f
         ray = None
@@ -242,8 +264,46 @@ def _initial_point(G, h, A, b, n, tol):
     return "ok", z[:n]
 
 
-def solve_qp(H, f, G=None, h=None, A=None, b=None, *, tol=1e-9, max_iter=None):
+def _warm_start(H, f, G, h, A, b, work, tol):
+    """Minimizer of the QP with the rows ``work`` of G held as equalities.
+
+    Factors [A; G[work]] once, takes the least-norm point of the
+    equalities and a Newton step to their minimizer in the null space.
+    Returns (x, basis) for :func:`_active_set`, or None when the rows
+    are inconsistent (the 1e-8 rule of :func:`_initial_point`), the
+    reduced Hessian has a flat direction, or another row of G is
+    violated by more than ``tol * scale_h``.
+    """
+    M, rhs = G[work], h[work]
+    if A is not None:
+        M, rhs = np.concatenate((A, M)), np.concatenate((b, rhs))
+    basis = Ur, Vr, NV, w_step, flat = _basis(H, M)
+    x = Vr.T @ (Ur.T @ rhs)
+    scale_rhs = max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
+    if float(np.max(np.abs(M @ x - rhs), initial=0.0)) > 1e-8 * scale_rhs:
+        return None
+    if NV is not None:
+        if flat.size:
+            return None
+        x = x + NV @ (-(NV.T @ (H @ x + f)) / w_step)
+    free = np.ones(G.shape[0], dtype=bool)
+    free[work] = False
+    scale_h = max(1.0, float(np.max(np.abs(h), initial=0.0)))
+    if float(np.max((G @ x - h)[free], initial=0.0)) > tol * scale_h:
+        return None
+    return x, basis
+
+
+def solve_qp(H, f, G=None, h=None, A=None, b=None, *, tol=1e-9, max_iter=None,
+             active=()):
     """Solve the QP; statuses are "optimal", "infeasible", "unbounded".
+
+    ``active`` optionally guesses the optimal working set as row indices
+    of G, typically the ``active`` of a previous solve of a similar
+    problem.  A usable guess starts the iteration at the minimizer on
+    those rows; any other guess, and an empty one, starts cold from the
+    phase-1 point.  The result does not depend on the guess beyond
+    roundoff and, where optima are not unique, the choice among them.
 
     Optimal results carry multipliers and a KKT residual; the residual
     is also re-checked against 1e-8 so a silently bad solve cannot be
@@ -263,13 +323,27 @@ def solve_qp(H, f, G=None, h=None, A=None, b=None, *, tol=1e-9, max_iter=None):
     if A is not None and b.size != A.shape[0]:
         raise ValueError("A and b sizes differ")
 
-    status, x0 = _initial_point(G, h, A, b, n, tol)
-    if status == "infeasible":
-        return QpResult("infeasible", None, None, None, None, (), 0, None)
+    m = 0 if G is None else G.shape[0]
+    work = sorted(operator.index(i) for i in active)
+    if work and G is None:
+        raise ValueError("a working-set guess needs inequality rows G")
+    if len(set(work)) != len(work):
+        raise ValueError("working-set guess repeats a row")
+    if work and not 0 <= work[0] <= work[-1] < m:
+        raise ValueError(f"working-set guess outside rows 0..{m - 1}")
+
+    start = _warm_start(H, f, G, h, A, b, work, tol) if work else None
+    if start is None:
+        status, x0 = _initial_point(G, h, A, b, n, tol)
+        if status == "infeasible":
+            return QpResult("infeasible", None, None, None, None, (), 0, None)
+        work, basis = [], None
+    else:
+        x0, basis = start
     if max_iter is None:
-        max_iter = 50 * (n + (0 if G is None else G.shape[0]) + 5)
+        max_iter = 50 * (n + m + 5)
     status, x, lam, nu, active, it = _active_set(
-        H, f, G, h, A, b, x0, [], tol, max_iter)
+        H, f, G, h, A, b, x0, work, tol, max_iter, basis)
     if status != "optimal":
         return QpResult(status, None, None, None, None, active, it, None)
     res = _kkt_residual(H, f, G, h, A, b, x, lam, nu)

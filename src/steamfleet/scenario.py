@@ -290,6 +290,7 @@ def run_scenario(cfg, idents=None):
     u_cmds = _distribute(shares.u_ss, shares.delta, shares.alpha)
     u_bar = shares.u_ss
     r_hat = r
+    active = ()     # optimal working set of the last tracking QP
 
     # station-grid histories of model length, seeded at equilibrium
     y_hists = [deque([st.loop_r.output] * ref.n_f, maxlen=ref.n_f)
@@ -360,12 +361,14 @@ def run_scenario(cfg, idents=None):
             xi0 = velocity_state(x_stations, x_stations_prev, y_meas,
                                  shares.delta)
             try:
-                sol = ctrl.solve(xi0, u_bar, r, first_move=first_move)
+                sol = ctrl.solve(xi0, u_bar, r, first_move=first_move,
+                                 active=active)
             except Exception as exc:
                 raise ScenarioError(t, f"tracking solve failed: {exc}") from exc
             du = sol.u_cmd - u_bar
             u_bar = sol.u_cmd
             r_hat = sol.r_hat
+            active = sol.active
             x_pred = slow.A @ x_now + slow.B.reshape(-1) * u_bar
             pred_delta = shares.delta
             x_stations_prev = x_stations

@@ -66,9 +66,9 @@ def _leaf_paths(node, prefix=()):
             for p in _leaf_paths(child, prefix + (key,))]
 
 
-def _write_swapped(directory, path, value):
-    """The default document with the leaf at ``path`` set to ``value``."""
-    doc = json.loads(json.dumps(DEFAULT_DOC))
+def _write_swapped(directory, path, value, base=DEFAULT_DOC):
+    """The ``base`` document with the leaf at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(base))
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -102,6 +102,10 @@ def _write_swapped(directory, path, value):
     (("scenario", "ident", "hold_s"), 4.0),
     # a full drum fails the first RK4 stage of the run
     (("scenario", "vw_frac"), 1.0),
+    # dispatch divides the fuel cost by the demand weight: a zero weight
+    # runs to gas outside its box, zero costs to a NaN pattern QP
+    (("scenario", "share", "lambda_bar"), 0.0),
+    (("scenario", "boilers", 0, "lambda_cost"), 0.0),
 ])
 def test_validate_config_rejects_what_the_run_cannot_handle(
         tmp_path, capsys, path, value):
@@ -117,6 +121,21 @@ def test_validate_config_never_raises_on_a_swapped_leaf(path, value):
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = _write_swapped(tmp, path, value)
         assert cli.main(["validate-config", cfg_path]) in (0, 1)
+
+
+SHORT_DOC = json.loads(to_json(small_config()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["run", "identify"]),
+       st.sampled_from(_leaf_paths(SHORT_DOC)),
+       st.sampled_from([None, "x", [], -1, 0, 2.5]))
+def test_run_and_identify_never_raise_on_a_swapped_leaf(command, path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = _write_swapped(tmp, path, value, SHORT_DOC)
+        out = str(Path(tmp) / "out")
+        assert cli.main([command, "--config", cfg_path,
+                         "--out", out]) in (0, 1, 2)
 
 
 def test_missing_file_is_an_error(tmp_path):

@@ -296,6 +296,40 @@ def test_solve_is_deterministic():
     assert np.array_equal(a.du_seq, b.du_seq)
 
 
+def test_warm_started_solves_match_cold_ones():
+    ctrl, _, _ = make_controller()
+    # the same horizon under other shares and a tighter rate cap: G
+    # keeps its shape, so this controller's working sets are valid, if
+    # foreign, guesses
+    other = build_controller(
+        two_state_model(), [wide_station(), wide_station()], [0.3, 0.7],
+        GlobalSets(u_min=0.05, u_max=6.0, y_min=0.0, y_max=6.0,
+                   delta_u=0.3), 0.01, MpcConfig())
+    x = np.linalg.solve(np.eye(2) - A2, B2).reshape(-1)
+    x_prev, u, prev = x.copy(), 1.0, None
+    n_warm = 0
+    r_seq = [2.0, 2.0, 2.6, 2.6, 3.4, 3.4, 3.4, 1.2, 1.2, 1.5]
+    for k, r in enumerate(r_seq):
+        xi0 = np.concatenate([x - x_prev, [float(C2 @ x) + GAMMA2]])
+        fm = 0.07 if k == 4 else None
+        cold = ctrl.solve(xi0, u, r, first_move=fm)
+        guesses = [other.solve(xi0, u, r, first_move=fm).active]
+        if prev is not None:
+            guesses.append(prev.active)
+        # an empty working set is no guess: that solve is the cold one
+        for active in filter(None, guesses):
+            n_warm += 1
+            warm = ctrl.solve(xi0, u, r, first_move=fm, active=active)
+            assert warm.u_cmd == pytest.approx(cold.u_cmd, rel=0, abs=1e-10)
+            assert warm.r_hat == pytest.approx(cold.r_hat, rel=0, abs=1e-10)
+            assert np.allclose(warm.du_seq, cold.du_seq, rtol=0, atol=1e-10)
+            assert warm.active == cold.active
+        prev = cold
+        x_prev, x = x, A2 @ x + B2.reshape(-1) * cold.u_cmd
+        u = cold.u_cmd
+    assert n_warm >= 12
+
+
 # closed loop, certified disturbances ------------------------------------
 
 def test_bounds_kept_and_offset_dies_under_box_disturbance():

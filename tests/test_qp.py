@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from steamfleet import qp
 from steamfleet.qp import (NumericalFailureError, QpResult, _factor,
-                           _ratio_test, solve_qp)
+                           _ratio_test, _warm_start, solve_qp)
 
 
 def kkt_enumerate(H, f, G=None, h=None, A=None, b=None):
@@ -301,3 +302,132 @@ def test_factor_matches_scipy_null_space_and_lstsq():
         v = rng.normal(size=n)
         mult, *_ = np.linalg.lstsq(M.T, v, rcond=None)
         assert Ur @ (Vr @ v) == pytest.approx(mult, abs=1e-10), trial
+
+
+# working-set guess -------------------------------------------------------
+
+def count_cold_starts(monkeypatch):
+    """Count calls of the phase-1 start, which only a cold solve makes."""
+    calls = []
+    original = qp._initial_point
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(qp, "_initial_point", counted)
+    return calls
+
+
+@pytest.mark.parametrize("with_eq", [False, True])
+def test_own_working_set_resolves_in_one_iteration(with_eq, monkeypatch):
+    rng = np.random.default_rng(42 if with_eq else 24)
+    cold_starts = count_cold_starts(monkeypatch)
+    warm_trials = 0
+    for trial in range(25):
+        H, f, G, h, A, b = random_problem(rng, with_eq)
+        cold = solve_qp(H, f, G, h, A, b)
+        ref = kkt_enumerate(H, f, G, h, A, b)
+        if not cold.active:
+            continue        # an empty guess is no guess
+        warm_trials += 1
+        cold_starts.clear()
+        res = solve_qp(H, f, G, h, A, b, active=cold.active)
+        assert not cold_starts, f"trial {trial}"
+        assert res.status == cold.status == "optimal", f"trial {trial}"
+        assert res.iterations == 1, f"trial {trial}"
+        assert res.active == cold.active, f"trial {trial}"
+        assert res.obj == pytest.approx(ref[0], abs=1e-7), f"trial {trial}"
+        assert res.x == pytest.approx(ref[1], abs=1e-5), f"trial {trial}"
+        assert res.kkt_residual <= 1e-8
+    assert warm_trials >= 5
+
+
+@pytest.mark.parametrize("with_eq", [False, True])
+def test_any_guess_reaches_the_same_optimum(with_eq):
+    rng = np.random.default_rng(43 if with_eq else 25)
+    for trial in range(25):
+        H, f, G, h, A, b = random_problem(rng, with_eq)
+        m = G.shape[0]
+        guess = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                  replace=False).tolist())
+        res = solve_qp(H, f, G, h, A, b, active=guess)
+        ref = kkt_enumerate(H, f, G, h, A, b)
+        assert res.status == "optimal", f"trial {trial}"
+        assert res.obj == pytest.approx(ref[0], abs=1e-7), f"trial {trial}"
+        assert res.x == pytest.approx(ref[1], abs=1e-5), f"trial {trial}"
+        assert res.kkt_residual <= 1e-8
+
+
+def test_inconsistent_guess_falls_back_to_the_cold_solve(monkeypatch):
+    # rows 0 and 2 are x1 <= 1 and -x1 <= 1: x1 cannot equal both bounds
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    h = np.ones(4)
+    cold = solve_qp(np.eye(2), [-3.0, 0.5], G, h)
+    cold_starts = count_cold_starts(monkeypatch)
+    res = solve_qp(np.eye(2), [-3.0, 0.5], G, h, active=[0, 2])
+    assert cold_starts == [1]
+    assert res.status == "optimal"
+    assert np.array_equal(res.x, cold.x)
+    assert res.iterations == cold.iterations
+    assert res.x == pytest.approx([1.0, -0.5])
+
+
+def test_guess_that_violates_another_row_falls_back(monkeypatch):
+    # holding x2 <= 1 puts the minimizer at x1 = 3, past x1 <= 1
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    cold_starts = count_cold_starts(monkeypatch)
+    res = solve_qp(np.eye(2), [-3.0, -3.0], G, np.ones(4), active=[1])
+    assert cold_starts == [1]
+    assert res.x == pytest.approx([1.0, 1.0])
+
+
+def test_guess_on_an_infeasible_problem_stays_infeasible():
+    G = np.array([[1.0], [-1.0]])
+    for guess in ([0], [1], [0, 1]):
+        res = solve_qp(np.eye(1), [0.0], G, [-1.0, -1.0], active=guess)
+        assert res.status == "infeasible"
+        assert res.x is None
+    res = solve_qp(np.eye(2), [0.0, 0.0], np.eye(2), [1.0, 1.0],
+                   A=np.ones((2, 2)), b=[1.0, 2.0], active=[0])
+    assert res.status == "infeasible"
+
+
+def test_guess_on_semidefinite_boxed_problems_matches_the_oracle():
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        H, f, G, h, A, b = semidefinite_boxed_problem(rng)
+        m = G.shape[0]
+        guess = rng.choice(m, size=int(rng.integers(1, m // 2 + 1)),
+                           replace=False).tolist()
+        for active in (guess, solve_qp(H, f, G, h).active):
+            res = solve_qp(H, f, G, h, active=active)
+            ref = kkt_enumerate(H, f, G, h)
+            assert res.status == "optimal", f"trial {trial}"
+            assert res.obj == pytest.approx(ref[0], abs=1e-7), f"trial {trial}"
+            assert res.kkt_residual <= 1e-8
+
+
+def test_flat_reduced_hessian_rejects_the_guess():
+    # a linear program with one bound held leaves a flat direction
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    h = np.ones(4)
+    assert _warm_start(np.zeros((2, 2)), np.array([-1.0, -2.0]), G, h,
+                       None, None, [0], 1e-9) is None
+    x, _ = _warm_start(np.zeros((2, 2)), np.array([-1.0, -2.0]), G, h,
+                       None, None, [0, 1], 1e-9)
+    assert x == pytest.approx([1.0, 1.0])
+    res = solve_qp(np.zeros((2, 2)), [-1.0, -2.0], G, h, active=[0])
+    assert res.x == pytest.approx([1.0, 1.0])
+
+
+@pytest.mark.parametrize("G, active, match", [
+    (np.eye(2), [0, 0], "repeats"),
+    (np.eye(2), [2], "outside"),
+    (np.eye(2), [-1], "outside"),
+    (None, [0], "needs"),
+])
+def test_rejects_a_malformed_guess(G, active, match):
+    h = None if G is None else np.ones(G.shape[0])
+    with pytest.raises(ValueError, match=match):
+        solve_qp(np.eye(2), [0.0, 0.0], G, h, active=active)

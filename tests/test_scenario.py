@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from steamfleet import mpc, qp
 from steamfleet.config import ConfigError, IdentConfig, default_config
 from steamfleet.lowlevel import init_station, station_step
 from steamfleet.scenario import (IdentifiedStation, ScenarioError, demand_at,
@@ -127,6 +128,36 @@ def test_same_seed_reproduces_the_run(default_run, default_rerun):
         assert a == b
     assert again.violations == default_run.violations
     assert again.hl_solves == default_run.hl_solves
+
+
+def test_tracking_solves_start_from_the_last_working_set(monkeypatch):
+    # only a cold start computes the phase-1 point, so a call of it inside
+    # one of the MPC's QP solves marks a solve whose guess went unused
+    calls = {"solves": 0, "cold": 0, "iters": 0}
+    in_mpc = []
+    initial_point, solve_qp = qp._initial_point, mpc.solve_qp
+
+    def counted_start(*args):
+        calls["cold"] += bool(in_mpc)
+        return initial_point(*args)
+
+    def counted_solve(*args, **kwargs):
+        in_mpc.append(True)
+        try:
+            res = solve_qp(*args, **kwargs)
+        finally:
+            in_mpc.pop()
+        calls["solves"] += 1
+        calls["iters"] += res.iterations
+        return res
+
+    monkeypatch.setattr(qp, "_initial_point", counted_start)
+    monkeypatch.setattr(mpc, "solve_qp", counted_solve)
+    report = run_scenario(BASE)
+    assert report.violations == []
+    assert calls["solves"] == 120
+    assert calls["cold"] <= 10          # 6 at seed 2214
+    assert calls["iters"] <= 200        # 165 at seed 2214, 1 090 all cold
 
 
 def test_template_failure_names_the_boilers():
