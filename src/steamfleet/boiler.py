@@ -92,10 +92,6 @@ class BoilerInputs:
     q_f: float  # kg/s
     q_s: float  # kg/s
 
-    @property
-    def q_w(self):
-        return self.q_f - self.q_s
-
 
 class ModelValidityError(RuntimeError):
     """State left the region where the lumped model is meaningful."""

@@ -223,8 +223,16 @@ def validate_config(cfg):
     # dispatch divides the fuel cost by the demand weight
     if cfg.share.lambda_bar is not None and cfg.share.lambda_bar <= 0:
         issues.append("demand weight lambda_bar must be positive")
+    # a negative curvature floor makes the pattern QP indefinite; a
+    # negative tie window admits no pattern at all
+    if cfg.share.reg < 0:
+        issues.append("dispatch curvature floor reg must not be negative")
+    if cfg.share.tie_tol < 0:
+        issues.append("dispatch tie window tie_tol must not be negative")
     if cfg.mpc.horizon < 2:
         issues.append("horizon must be at least 2")
+    if cfg.mpc.q_y < 0 or cfg.mpc.r_du < 0:
+        issues.append("tracking weights q_y and r_du must not be negative")
     if not (0 < cfg.mpc.tube_eps < 1):
         issues.append("tube cutoff outside (0, 1)")
     if cfg.mpc.w_safety < 1:

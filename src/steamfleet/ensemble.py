@@ -22,6 +22,10 @@ import numpy as np
 
 from .sysid import ArxModel, ModelQualityError, realize
 
+# relative drift allowed between a reference model's realized static
+# gain and the station gain it was built to reproduce
+_GAIN_TOL = 1e-9
+
 
 class DegenerateTemplateError(ValueError):
     """Template denominator 1 + sum(f) is numerically zero."""
@@ -73,7 +77,7 @@ def _selection(nf_t, nbe_t, nf_m, nbe_m):
     return beta
 
 
-def make_reference(model, template, gain_tol=1e-9):
+def make_reference(model, template):
     """Reference model for one station from its fit and the template.
 
     ``model`` and ``template`` are affine ARX fits; the reference keeps
@@ -97,7 +101,7 @@ def make_reference(model, template, gain_tol=1e-9):
     ref_arx = ArxModel(f=template.f, b=(b_lead,) + template.b[1:],
                        n_k=template.n_k, c=model.gamma * den, tau=model.tau)
     ss = realize(ref_arx)
-    if abs(ss.gain - g_i) > gain_tol * max(1.0, abs(g_i)):
+    if abs(ss.gain - g_i) > _GAIN_TOL * max(1.0, abs(g_i)):
         raise ModelQualityError(
             f"reference gain {ss.gain!r} drifted from station gain {g_i!r}")
     beta = _selection(nf_t, nbe_t, nf_m, nbe_m)

@@ -64,7 +64,6 @@ class ShareSolution:
     flows: tuple       # per-station steam commands v_i
     cost: float        # true objective value
     demand: float
-    degenerate: bool = False
 
 
 class InfeasibleShareError(RuntimeError):
@@ -140,8 +139,7 @@ def solve_shares(stations, demand, sets, cfg, previous=None):
         if worst > 1e-7:
             diagnostics[delta] = f"violated by {worst:.2e}"
             continue
-        degenerate = abs(u_ss) < 1e-9
-        if degenerate:
+        if abs(u_ss) < 1e-9:
             alpha = [1.0 / m if delta[i] else 0.0 for i in range(n)]
         else:
             alpha = [0.0] * n
@@ -163,8 +161,7 @@ def solve_shares(stations, demand, sets, cfg, previous=None):
         cost = _true_cost(stations, active, flows, u_ss, demand, lam_bar)
         candidates.append(ShareSolution(
             delta=delta, alpha=tuple(alpha), u_ss=u_ss,
-            flows=tuple(full_flows), cost=float(cost), demand=demand,
-            degenerate=degenerate))
+            flows=tuple(full_flows), cost=float(cost), demand=demand))
     if not candidates:
         raise InfeasibleShareError(demand, diagnostics)
     best_cost = min(c.cost for c in candidates)

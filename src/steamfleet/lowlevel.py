@@ -138,7 +138,8 @@ def static_map(params, cfg_r, cfg_c, levels, tau, dt, hold=2500.0):
     state = init_station(params, levels[0])
     n = round(hold / tau)
     for lvl in levels:
-        for _ in range(n):
-            state, q_g, _ = station_step(params, cfg_r, cfg_c, state, lvl, tau, dt)
-        out.append((lvl, q_g))
+        states, gases, _ = run_station(params, cfg_r, cfg_c, state,
+                                       [lvl] * n, tau, dt)
+        state = states[-1]
+        out.append((lvl, gases[-1]))
     return out

@@ -38,12 +38,9 @@ On a held demand each QP is nearly the one before it, so every solve
 hands the kernel the previous optimal working set as a guess
 (``MpcController.solve(..., active=)``).  A guess that fits makes the
 re-solve a one-iteration solve; one that does not falls back to the
-cold start.  At seed 2214 the default scenario starts 6 of its 120
-tracking QPs cold (the first, and five at or one solve after a share
-change) and takes 165 active-set iterations in all, against 1 090 with
-every solve cold; the four-hour held-demand benchmark run starts 4 of
-480 cold and takes 506 (4 295).  ``tests/test_scenario.py`` holds the
-default run to at most 10 cold starts and 200 iterations.
+cold start, so a guess moves the plan only at roundoff.
+``tests/test_scenario.py`` holds the default run to at most 10 cold
+starts and 200 active-set iterations over its 120 tracking QPs.
 """
 
 from dataclasses import dataclass
@@ -197,16 +194,18 @@ class MpcController:
     y_rows: np.ndarray
     y_xi: np.ndarray
 
-    def solve(self, xi0, u_prev, r, first_move=None, active=()):
+    def solve(self, xi0, u_prev, r, first_move=None, active=None):
         """One receding-horizon step.
 
         ``xi0`` stacks the measured state increment and output;
         ``first_move`` optionally caps |du_0| tighter, used right after
         a share reconfiguration.  ``active`` guesses the optimal working
-        set, normally the ``active`` of the previous solution; the QP
-        kernel starts from it when it fits and cold otherwise, so the
-        guess moves the solution only at roundoff.  Decision vector is
-        the N nominal increments followed by the internal target r_hat.
+        set, normally the ``active`` of the previous solution, which may
+        be ``()`` (only the terminal equalities held); None is no guess.
+        The QP kernel starts from a guess when it fits and cold
+        otherwise, so the guess moves the solution only at roundoff.
+        Decision vector is the N nominal increments followed by the
+        internal target r_hat.
         """
         xi0 = np.asarray(xi0, dtype=float).reshape(-1)
         h = self.h0 + self.h_u * u_prev + self.h_xi @ xi0

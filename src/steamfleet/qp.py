@@ -4,22 +4,26 @@
     subject to  G x <= h,   A x = b
 
 H must be symmetric positive semidefinite (zero is allowed, so pure
-linear programs work too).  The method is a primal active-set iteration
+linear programs work too).  An absent block (``G``/``h`` or ``A``/``b``
+left None) becomes an empty (0, n) block at entry, so every helper
+sees one problem form.  The method is a primal active-set iteration
 with null-space steps; semidefinite reduced Hessians are handled by
 splitting the reduced gradient into curved and flat directions, riding
 the flat ones until a constraint blocks or the problem is certified
-unbounded.  A cold start takes its feasible point from the least-norm
-solution of the equalities or, failing that, a strictly convex
-one-slack phase-1 problem.
+unbounded.
 
-A caller that re-solves a similar problem may instead guess the optimal
-working set (``active``, typically the previous solve's).  The kernel
-holds those rows as equalities, factors them once and steps to their
-minimizer; if the rows are consistent, leave no flat direction and that
-point violates no other row, the iteration starts there with that
-working set and often only reads the multipliers.  Any other guess falls
-back to the cold start unchanged, so a guess can cost time but never the
-answer.
+Every start is the least-norm point of the rows held as equalities,
+taken from the same factors the iteration then uses (``_least_norm``).
+A cold start holds the equalities alone and, if that point violates a
+row of G, runs a strictly convex one-slack phase-1 problem.  A caller
+that re-solves a similar problem may instead guess the optimal working
+set (``active``, typically the previous solve's; ``()`` holds only the
+equalities).  The kernel holds those rows of G with the equalities and
+steps to their minimizer; if the rows are consistent, leave no flat
+direction and that point violates no other row, the iteration starts
+there with that working set and often only reads the multipliers.  Any
+other guess falls back to the cold start unchanged, so a guess can
+cost time but never the answer.
 
 Each working set is factored once by a plain SVD (``numpy.linalg.svd``,
 with the rank rule of ``scipy.linalg.null_space``), which yields both
@@ -41,6 +45,9 @@ import numpy as np
 
 _EPS = np.finfo(float).eps
 
+# multiplier sign and row feasibility tolerance, relative to the data
+_TOL = 1e-9
+
 
 class NumericalFailureError(RuntimeError):
     """Active-set iteration exhausted its budget; problem is likely
@@ -59,21 +66,26 @@ class QpResult:
     kkt_residual: float | None
 
 
-def _clean(M, name, n_cols=None):
+def _block(M, v, n, name, rhs_name):
+    """``M`` as a (k, n) matrix and ``v`` as its k right-hand sides; an
+    absent ``M`` gives the empty (0, n) block."""
     if M is None:
-        return None
+        return np.zeros((0, n)), np.zeros(0)
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if n_cols is not None and M.shape[1] != n_cols:
-        raise ValueError(f"{name} has {M.shape[1]} columns, expected {n_cols}")
-    return M
+    if M.shape[1] != n:
+        raise ValueError(f"{name} has {M.shape[1]} columns, expected {n}")
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != M.shape[0]:
+        raise ValueError(f"{name} and {rhs_name} sizes differ")
+    return M, v
 
 
 def _check_hessian(H):
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("H must be square")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if float(np.max(np.abs(H - H.T))) > 1e-8 * scale:
+    scale = max(1.0, float(np.abs(H).max()))
+    if float(np.abs(H - H.T).max()) > 1e-8 * scale:
         raise ValueError("H must be symmetric")
     Hs = 0.5 * (H + H.T)
     w = np.linalg.eigvalsh(Hs)
@@ -83,21 +95,12 @@ def _check_hessian(H):
 
 
 def _kkt_residual(H, f, G, h, A, b, x, lam, nu):
-    g = H @ x + f
-    if G is not None and lam is not None:
-        g = g + G.T @ lam
-    if A is not None and nu is not None:
-        g = g + A.T @ nu
-    res = float(np.max(np.abs(g)))
-    if G is not None:
-        slack = G @ x - h
-        res = max(res, float(np.max(slack, initial=0.0)))
-        if lam is not None:
-            res = max(res, float(np.max(-lam, initial=0.0)))
-            res = max(res, float(np.max(np.abs(lam * slack), initial=0.0)))
-    if A is not None:
-        res = max(res, float(np.max(np.abs(A @ x - b), initial=0.0)))
-    return res
+    slack = G @ x - h
+    return max(float(np.abs(H @ x + f + G.T @ lam + A.T @ nu).max()),
+               float(slack.max(initial=0.0)),
+               float((-lam).max(initial=0.0)),
+               float(np.abs(lam * slack).max(initial=0.0)),
+               float(np.abs(A @ x - b).max(initial=0.0)))
 
 
 def _factor(M, n):
@@ -124,8 +127,6 @@ def _ratio_test(G, h, x, d, free, alpha):
     than 1e-12 earlier, so the most-blocking row wins and the lowest
     index wins ties.
     """
-    if G is None:
-        return alpha, None
     s = G @ d
     cand = (free & (s > 1e-12)).nonzero()[0]
     a = np.maximum((h - G @ x)[cand] / s[cand], 0.0)
@@ -136,6 +137,12 @@ def _ratio_test(G, h, x, d, free, alpha):
     return alpha, blocker
 
 
+def _held(A, G, work):
+    """[A; G[work]]: the rows held as equalities, or their right-hand
+    sides when given b and h."""
+    return np.concatenate((A, G[work])) if A.shape[0] else G[work]
+
+
 def _basis(H, M):
     """Factors of the working-set matrix ``M`` for one Newton step.
 
@@ -143,48 +150,59 @@ def _basis(H, M):
     factors, the eigenvectors NV of the reduced Hessian in full
     coordinates, their curvatures ``w_step`` and the indices ``flat`` of
     the flat ones, whose curvature is set infinite so that a Newton step
-    moves only along the curved ones.  The last three are None when M
+    moves only along the curved ones.  The last three are empty when M
     leaves no null space.
     """
     Ur, Vr, N = _factor(M, H.shape[0])
-    NV = w_step = flat = None
-    if N.shape[1]:
-        Hr = N.T @ H @ N
-        w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
-        thresh = max(1e-12 * max(float(w[-1]), 1.0), 1e-14)
-        NV = N @ V
-        flat = (~(w > thresh)).nonzero()[0]
-        w_step = w.copy()
-        w_step[flat] = np.inf
-    return Ur, Vr, NV, w_step, flat
+    if not N.shape[1]:
+        return Ur, Vr, N, np.zeros(0), np.zeros(0, dtype=np.intp)
+    Hr = N.T @ H @ N
+    w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+    thresh = max(1e-12 * max(float(w[-1]), 1.0), 1e-14)
+    flat = (~(w > thresh)).nonzero()[0]
+    w_step = w.copy()
+    w_step[flat] = np.inf
+    return Ur, Vr, N @ V, w_step, flat
 
 
-def _active_set(H, f, G, h, A, b, x, work, tol, max_iter, basis=None):
+def _least_norm(H, M, rhs):
+    """Least-norm solution of ``M x = rhs`` with the :func:`_basis`
+    factors of ``M``: (x, basis), or None when the rows are inconsistent,
+    their residual above 1e-8 * max(1, |rhs|_inf)."""
+    basis = _basis(H, M)
+    Ur, Vr = basis[:2]
+    x = Vr.T @ (Ur.T @ rhs)
+    scale_rhs = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    if float(np.abs(M @ x - rhs).max(initial=0.0)) > 1e-8 * scale_rhs:
+        return None
+    return x, basis
+
+
+def _active_set(H, f, G, h, A, b, x, work, basis=None):
     """Iterate from a feasible ``x`` with starting working set ``work``.
 
     ``basis`` optionally hands over the :func:`_basis` factors of
-    ``work``.  Returns (status, x, lam_full, nu, active, iterations).
+    ``work``.  The budget is 50 iterations per variable and row, plus
+    250.  Returns (status, x, lam_full, nu, active, iterations).
     """
     n = x.size
-    m = 0 if G is None else G.shape[0]
-    me = 0 if A is None else A.shape[0]
+    m = G.shape[0]
+    me = A.shape[0]
+    max_iter = 50 * (n + m + 5)
     work = sorted(work)
     free = np.ones(m, dtype=bool)
     free[work] = False
-    scale = max(1.0, float(np.max(np.abs(H))), float(np.max(np.abs(f), initial=0.0)))
+    scale = max(1.0, float(np.abs(H).max()), float(np.abs(f).max(initial=0.0)))
     step_tol = 1e-11 * scale
     for it in range(1, max_iter + 1):
         if basis is None:
             # factors of the working set, rebuilt only when it changes
-            M = G[work] if work else np.zeros((0, n))
-            if A is not None:
-                M = np.concatenate((A, M))
-            basis = _basis(H, M)
+            basis = _basis(H, _held(A, G, work))
         Ur, Vr, NV, w_step, flat = basis
         g = H @ x + f
         ray = None
-        if NV is None:
-            p = np.zeros(n)
+        if not w_step.size:
+            p = np.zeros(n)         # the working set pins x
         else:
             gr_v = NV.T @ g
             flat_grad = np.abs(gr_v[flat])
@@ -207,7 +225,7 @@ def _active_set(H, f, G, h, A, b, x, work, tol, max_iter, basis=None):
             lam_w = mult[me:]
             lam_full = np.zeros(m)
             lam_full[work] = lam_w
-            if not np.any(lam_w < -tol):
+            if not np.any(lam_w < -_TOL):
                 return "optimal", x, lam_full, nu, tuple(work), it
             # most negative multiplier leaves; argmin keeps the lowest
             # index on ties because ``work`` is sorted
@@ -224,84 +242,76 @@ def _active_set(H, f, G, h, A, b, x, work, tol, max_iter, basis=None):
     raise NumericalFailureError(f"no convergence in {max_iter} iterations")
 
 
-def _initial_point(G, h, A, b, n, tol):
-    """Feasible start via least-norm equalities plus a slack phase 1.
+def _initial_point(H, G, h, A, b):
+    """Cold start: the least-norm point of the equalities, moved by a
+    slack phase 1 if it violates a row of G.
 
-    Returns (status, x) where status is "ok" or "infeasible".
+    Returns (x0, basis) with the :func:`_basis` factors of the empty
+    working set, or None when the problem is infeasible.
     """
-    if A is not None:
-        x0, *_ = np.linalg.lstsq(A, b, rcond=None)
-        scale_b = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-        if float(np.max(np.abs(A @ x0 - b), initial=0.0)) > 1e-8 * scale_b:
-            return "infeasible", None
-    else:
-        x0 = np.zeros(n)
-    if G is None:
-        return "ok", x0
-    viol = float(np.max(G @ x0 - h, initial=0.0))
-    scale_h = max(1.0, float(np.max(np.abs(h), initial=0.0)))
-    if viol <= tol * scale_h:
-        return "ok", x0
+    start = _least_norm(H, A, b)
+    if start is None:
+        return None
+    x0, basis = start
+    viol = float((G @ x0 - h).max(initial=0.0))
+    scale_h = max(1.0, float(np.abs(h).max(initial=0.0)))
+    if viol <= _TOL * scale_h:
+        return start
     # slack problem: min t^2  s.t.  Gx - t <= h, t >= 0.  The kernel's
     # flat-direction handling covers the x block's zero curvature, and
     # the unregularized optimum reaches the true minimal slack, so a
     # feasible problem hands back a point violating nothing.
+    n = x0.size
     Hp = np.zeros((n + 1, n + 1))
     Hp[n, n] = 2.0
     fp = np.zeros(n + 1)
     Gp = np.hstack([G, -np.ones((G.shape[0], 1))])
     Gp = np.vstack([Gp, np.concatenate([np.zeros(n), [-1.0]])])
     hp = np.concatenate([h, [0.0]])
-    Ap = np.hstack([A, np.zeros((A.shape[0], 1))]) if A is not None else None
+    Ap = np.hstack([A, np.zeros((A.shape[0], 1))])
     z0 = np.concatenate([x0, [viol * (1 + 1e-6) + 1e-9]])
-    status, z, *_ = _active_set(Hp, fp, Gp, hp, Ap, b, z0, [],
-                                tol, 50 * (n + G.shape[0] + 5))
+    status, z, *_ = _active_set(Hp, fp, Gp, hp, Ap, b, z0, [])
     if status != "optimal":
         raise NumericalFailureError(f"phase 1 ended {status}")
-    t_star = float(z[n])
-    if t_star > 1e-7 * scale_h:
-        return "infeasible", None
-    return "ok", z[:n]
+    if float(z[n]) > 1e-7 * scale_h:
+        return None
+    return z[:n], basis
 
 
-def _warm_start(H, f, G, h, A, b, work, tol):
+def _warm_start(H, f, G, h, A, b, work):
     """Minimizer of the QP with the rows ``work`` of G held as equalities.
 
-    Factors [A; G[work]] once, takes the least-norm point of the
-    equalities and a Newton step to their minimizer in the null space.
-    Returns (x, basis) for :func:`_active_set`, or None when the rows
-    are inconsistent (the 1e-8 rule of :func:`_initial_point`), the
+    Takes the :func:`_least_norm` point of [A; G[work]] and a Newton
+    step to the minimizer in its null space.  Returns (x, basis) for
+    :func:`_active_set`, or None when the rows are inconsistent, the
     reduced Hessian has a flat direction, or another row of G is
-    violated by more than ``tol * scale_h``.
+    violated by more than ``_TOL * scale_h``.
     """
-    M, rhs = G[work], h[work]
-    if A is not None:
-        M, rhs = np.concatenate((A, M)), np.concatenate((b, rhs))
-    basis = Ur, Vr, NV, w_step, flat = _basis(H, M)
-    x = Vr.T @ (Ur.T @ rhs)
-    scale_rhs = max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
-    if float(np.max(np.abs(M @ x - rhs), initial=0.0)) > 1e-8 * scale_rhs:
+    start = _least_norm(H, _held(A, G, work), _held(b, h, work))
+    if start is None:
         return None
-    if NV is not None:
-        if flat.size:
-            return None
-        x = x + NV @ (-(NV.T @ (H @ x + f)) / w_step)
+    x, basis = start
+    NV, w_step, flat = basis[2:]
+    if flat.size:
+        return None
+    x = x + NV @ (-(NV.T @ (H @ x + f)) / w_step)
     free = np.ones(G.shape[0], dtype=bool)
     free[work] = False
-    scale_h = max(1.0, float(np.max(np.abs(h), initial=0.0)))
-    if float(np.max((G @ x - h)[free], initial=0.0)) > tol * scale_h:
+    scale_h = max(1.0, float(np.abs(h).max(initial=0.0)))
+    if float((G @ x - h)[free].max(initial=0.0)) > _TOL * scale_h:
         return None
     return x, basis
 
 
-def solve_qp(H, f, G=None, h=None, A=None, b=None, *, tol=1e-9, max_iter=None,
-             active=()):
+def solve_qp(H, f, G=None, h=None, A=None, b=None, *, active=None):
     """Solve the QP; statuses are "optimal", "infeasible", "unbounded".
 
-    ``active`` optionally guesses the optimal working set as row indices
-    of G, typically the ``active`` of a previous solve of a similar
-    problem.  A usable guess starts the iteration at the minimizer on
-    those rows; any other guess, and an empty one, starts cold from the
+    An absent ``G``/``h`` or ``A``/``b`` is an empty block.  ``active``
+    optionally guesses the optimal working set as row indices of G,
+    typically the ``active`` of a previous solve of a similar problem;
+    ``()`` is a guess too, holding only the equalities, and None is no
+    guess.  A usable guess starts the iteration at the minimizer on
+    those rows; any other guess, and None, starts cold from the
     phase-1 point.  The result does not depend on the guess beyond
     roundoff and, where optima are not unique, the choice among them.
 
@@ -314,40 +324,29 @@ def solve_qp(H, f, G=None, h=None, A=None, b=None, *, tol=1e-9, max_iter=None,
     n = f.size
     if H.shape[0] != n:
         raise ValueError("H and f sizes differ")
-    G = _clean(G, "G", n)
-    A = _clean(A, "A", n)
-    h = None if G is None else np.asarray(h, dtype=float).ravel()
-    b = None if A is None else np.asarray(b, dtype=float).ravel()
-    if G is not None and h.size != G.shape[0]:
-        raise ValueError("G and h sizes differ")
-    if A is not None and b.size != A.shape[0]:
-        raise ValueError("A and b sizes differ")
-
-    m = 0 if G is None else G.shape[0]
-    work = sorted(operator.index(i) for i in active)
+    work = [] if active is None else sorted(operator.index(i) for i in active)
     if work and G is None:
         raise ValueError("a working-set guess needs inequality rows G")
+    G, h = _block(G, h, n, "G", "h")
+    A, b = _block(A, b, n, "A", "b")
+    m = G.shape[0]
     if len(set(work)) != len(work):
         raise ValueError("working-set guess repeats a row")
     if work and not 0 <= work[0] <= work[-1] < m:
         raise ValueError(f"working-set guess outside rows 0..{m - 1}")
 
-    start = _warm_start(H, f, G, h, A, b, work, tol) if work else None
+    start = None if active is None else _warm_start(H, f, G, h, A, b, work)
     if start is None:
-        status, x0 = _initial_point(G, h, A, b, n, tol)
-        if status == "infeasible":
+        start, work = _initial_point(H, G, h, A, b), []
+        if start is None:
             return QpResult("infeasible", None, None, None, None, (), 0, None)
-        work, basis = [], None
-    else:
-        x0, basis = start
-    if max_iter is None:
-        max_iter = 50 * (n + m + 5)
+    x0, basis = start
     status, x, lam, nu, active, it = _active_set(
-        H, f, G, h, A, b, x0, work, tol, max_iter, basis)
+        H, f, G, h, A, b, x0, work, basis)
     if status != "optimal":
         return QpResult(status, None, None, None, None, active, it, None)
     res = _kkt_residual(H, f, G, h, A, b, x, lam, nu)
-    if res > 1e-8 * max(1.0, float(np.max(np.abs(f), initial=0.0))):
+    if res > 1e-8 * max(1.0, float(np.abs(f).max(initial=0.0))):
         raise NumericalFailureError(f"KKT residual {res:.3e} after optimal exit")
     obj = float(0.5 * x @ H @ x + f @ x)
     return QpResult("optimal", x, obj, lam, nu, active, it, res)

@@ -33,7 +33,7 @@ from .config import ConfigError, validate_config
 from .ensemble import (DegenerateTemplateError, TemplateOrderError, aggregate,
                        estimate_disturbance_bound, make_reference, resample)
 from .highlevel import should_resolve, solve_shares, station_data
-from .lowlevel import apply_period, gas_update, init_station, station_step
+from .lowlevel import apply_period, gas_update, init_station, run_station
 from .mpc import (build_controller, ensemble_state, first_move_cap,
                   measured_state, velocity_state)
 from .properties import PressureRangeError
@@ -128,13 +128,8 @@ def identification_experiment(params, cfg_r, cfg_c, ident, tau, dt,
         cur = lvl
         cmds.extend([lvl] * hold)
     state = init_station(params, levels[0], vw_frac)
-    us, ys = [], []
-    for cmd in cmds:
-        state, q_g, _ = station_step(params, cfg_r, cfg_c, state,
-                                     cmd, tau, dt)
-        us.append(cmd)
-        ys.append(q_g)
-    return np.array(us), np.array(ys)
+    _, gases, _ = run_station(params, cfg_r, cfg_c, state, cmds, tau, dt)
+    return np.array(cmds), np.array(gases)
 
 
 def run_identification(cfg):
@@ -290,7 +285,7 @@ def run_scenario(cfg, idents=None):
     u_cmds = _distribute(shares.u_ss, shares.delta, shares.alpha)
     u_bar = shares.u_ss
     r_hat = r
-    active = ()     # optimal working set of the last tracking QP
+    active = None   # optimal working set of the last tracking QP
 
     # station-grid histories of model length, seeded at equilibrium
     y_hists = [deque([st.loop_r.output] * ref.n_f, maxlen=ref.n_f)

@@ -106,6 +106,13 @@ def _write_swapped(directory, path, value, base=DEFAULT_DOC):
     # runs to gas outside its box, zero costs to a NaN pattern QP
     (("scenario", "share", "lambda_bar"), 0.0),
     (("scenario", "boilers", 0, "lambda_cost"), 0.0),
+    # a negative tie window admits no pattern, so the initial dispatch
+    # fails; a negative curvature floor makes the dispatch Hessian
+    # indefinite; negative tracking weights surface as a rate-cap error
+    (("scenario", "share", "tie_tol"), -1e-9),
+    (("scenario", "share", "reg"), -1.0),
+    (("scenario", "mpc", "q_y"), -1.0),
+    (("scenario", "mpc", "r_du"), -0.1),
 ])
 def test_validate_config_rejects_what_the_run_cannot_handle(
         tmp_path, capsys, path, value):

@@ -316,8 +316,7 @@ def test_warm_started_solves_match_cold_ones():
         guesses = [other.solve(xi0, u, r, first_move=fm).active]
         if prev is not None:
             guesses.append(prev.active)
-        # an empty working set is no guess: that solve is the cold one
-        for active in filter(None, guesses):
+        for active in guesses:
             n_warm += 1
             warm = ctrl.solve(xi0, u, r, first_move=fm, active=active)
             assert warm.u_cmd == pytest.approx(cold.u_cmd, rel=0, abs=1e-10)

@@ -328,8 +328,6 @@ def test_own_working_set_resolves_in_one_iteration(with_eq, monkeypatch):
         H, f, G, h, A, b = random_problem(rng, with_eq)
         cold = solve_qp(H, f, G, h, A, b)
         ref = kkt_enumerate(H, f, G, h, A, b)
-        if not cold.active:
-            continue        # an empty guess is no guess
         warm_trials += 1
         cold_starts.clear()
         res = solve_qp(H, f, G, h, A, b, active=cold.active)
@@ -412,10 +410,11 @@ def test_flat_reduced_hessian_rejects_the_guess():
     # a linear program with one bound held leaves a flat direction
     G = np.vstack([np.eye(2), -np.eye(2)])
     h = np.ones(4)
+    A, b = np.zeros((0, 2)), np.zeros(0)      # no equality rows
     assert _warm_start(np.zeros((2, 2)), np.array([-1.0, -2.0]), G, h,
-                       None, None, [0], 1e-9) is None
+                       A, b, [0]) is None
     x, _ = _warm_start(np.zeros((2, 2)), np.array([-1.0, -2.0]), G, h,
-                       None, None, [0, 1], 1e-9)
+                       A, b, [0, 1])
     assert x == pytest.approx([1.0, 1.0])
     res = solve_qp(np.zeros((2, 2)), [-1.0, -2.0], G, h, active=[0])
     assert res.x == pytest.approx([1.0, 1.0])
