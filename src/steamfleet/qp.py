@@ -71,6 +71,8 @@ def _block(M, v, n, name, rhs_name):
     absent ``M`` gives the empty (0, n) block."""
     if M is None:
         return np.zeros((0, n)), np.zeros(0)
+    if v is None:
+        raise ValueError(f"{name} given without {rhs_name}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != n:
         raise ValueError(f"{name} has {M.shape[1]} columns, expected {n}")
@@ -306,7 +308,8 @@ def _warm_start(H, f, G, h, A, b, work):
 def solve_qp(H, f, G=None, h=None, A=None, b=None, *, active=None):
     """Solve the QP; statuses are "optimal", "infeasible", "unbounded".
 
-    An absent ``G``/``h`` or ``A``/``b`` is an empty block.  ``active``
+    An absent ``G``/``h`` or ``A``/``b`` is an empty block; a matrix
+    given without its right-hand side raises ValueError.  ``active``
     optionally guesses the optimal working set as row indices of G,
     typically the ``active`` of a previous solve of a similar problem;
     ``()`` is a guess too, holding only the equalities, and None is no

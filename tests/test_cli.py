@@ -315,3 +315,19 @@ def test_gas_breach_between_slow_boundaries_exits_two(tmp_path, monkeypatch,
     assert rc == 2
     assert re.search(r"violation: t=10s boiler 1 gas \S+ outside box", err)
     assert re.findall(r"violation: t=(\d+)s", err) == ["10"] * err.count("\n")
+
+
+def test_oversized_tube_exits_one_at_the_first_build(tmp_path, capsys):
+    # a certificate inflated threefold widens the tube past the rate cap's
+    # allowed fraction: the first controller build must fail cleanly
+    cfg = dataclasses.replace(
+        BASE, timing=dataclasses.replace(BASE.timing, duration=600.0),
+        mpc=dataclasses.replace(BASE.mpc, w_safety=3.0))
+    path = tmp_path / "cfg.json"
+    path.write_text(to_json(cfg))
+    rc = cli.main(["run", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.fullmatch(r"error: t=0s: controller rebuild failed: rate cap: "
+                        r"margin \S+ exceeds 50% of 0\.5\n", err)

@@ -1,11 +1,13 @@
 """Share optimizer against a pattern-enumerating greedy-fill oracle."""
 
 import dataclasses
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
+from steamfleet import qp
 from steamfleet.config import GlobalSets, ShareConfig, default_config
 from steamfleet.highlevel import (InfeasibleShareError, ShareSolution,
                                   StationData, _pattern_qp, should_resolve,
@@ -292,3 +294,96 @@ def test_resolve_trigger_rules():
     assert not should_resolve(1.029, prev, 1, cfg)
     assert should_resolve(1.0, prev, 5, cfg)
     assert not should_resolve(1.0, prev, 4, cfg)
+
+
+def count_cold_starts(monkeypatch):
+    """List that grows by one at each cold start, the only path that
+    computes the phase-1 point."""
+    starts = []
+    initial_point = qp._initial_point
+
+    def counted(*args):
+        starts.append(args)
+        return initial_point(*args)
+
+    monkeypatch.setattr(qp, "_initial_point", counted)
+    return starts
+
+
+def strip(solution):
+    """``solution`` without its working sets, so a solve from it is cold."""
+    return dataclasses.replace(solution, working_sets=())
+
+
+def test_warm_started_chain_matches_cold_chain(default_run, monkeypatch):
+    # the shipped fleet over the default schedule, then a seeded walk;
+    # each solve couples rates to the one before it.  One chain hands
+    # on the working sets, the other strips them.
+    cfg = default_config()
+    stations = [station_data(p, s.model)
+                for p, s in zip(cfg.boilers, default_run.idents)]
+    n_patterns = 2 ** len(stations) - 1
+    rng = random.Random(100)
+    demands = [d for _, d in cfg.demand]
+    x = 2.5
+    for _ in range(40):
+        x = min(max(x + rng.uniform(-0.15, 0.15), 1.0), 4.0)
+        demands.append(x)
+    starts = count_cold_starts(monkeypatch)
+    warm = cold = None
+    warm_cold_starts = 0
+    for demand in demands:
+        before = len(starts)
+        warm = solve_shares(stations, demand, cfg.sets, cfg.share,
+                            previous=warm)
+        warm_cold_starts += len(starts) - before
+        before = len(starts)
+        cold = solve_shares(stations, demand, cfg.sets, cfg.share,
+                            previous=cold and strip(cold))
+        assert len(starts) - before == n_patterns
+        assert warm.delta == cold.delta, demand
+        assert warm.working_sets == cold.working_sets, demand
+        assert len(warm.working_sets) == n_patterns
+        assert warm.flows == pytest.approx(cold.flows, rel=0, abs=1e-12)
+        assert warm.alpha == pytest.approx(cold.alpha, rel=0, abs=1e-12)
+        assert warm.u_ss == pytest.approx(cold.u_ss, rel=0, abs=1e-12)
+        assert warm.cost == pytest.approx(cold.cost, rel=0, abs=1e-12)
+    # the guesses are taken, not only offered: 289 of 1 426 QPs start
+    # cold at seed 2214, most of them where the walk moves a bound
+    assert warm_cold_starts <= len(demands) * n_patterns // 4
+
+
+def test_previous_without_this_fleets_working_sets_starts_cold(monkeypatch):
+    stations = [make_station(0.5, 1.0, 0.1, 3.0),
+                make_station(0.6, 2.0, 0.1, 3.0),
+                make_station(0.4, 3.0, 0.1, 3.0)]
+    hand_built = ShareSolution(delta=(1, 1, 0), alpha=(0.5, 0.5, 0.0),
+                               u_ss=2.0, flows=(1.0, 1.0, 0.0), cost=0.0,
+                               demand=2.0)
+    wider = solve_shares(stations + [make_station(0.5, 4.0, 0.1, 3.0)], 2.0,
+                         WIDE, CFG)
+    assert len(wider.working_sets) == 15
+    starts = count_cold_starts(monkeypatch)
+    for previous in (hand_built, wider):
+        before = len(starts)
+        sol = solve_shares(stations, 2.5, WIDE, CFG, previous=previous)
+        assert len(starts) - before == 7
+        assert sol == solve_shares(stations, 2.5, WIDE, CFG,
+                                   previous=strip(previous))
+
+
+def test_guesses_never_hide_infeasibility():
+    stations = [make_station(0.6, 2.0, 0.5, 1.0),
+                make_station(0.5, 3.0, 0.5, 1.0)]
+    previous = solve_shares(stations, 1.2, WIDE, CFG)
+    assert None not in previous.working_sets
+    # station floors above the plant-wide command ceiling
+    tight = GlobalSets(u_min=0.0, u_max=0.4, y_min=0.0, y_max=100.0,
+                       delta_u=0.5)
+    with pytest.raises(InfeasibleShareError) as warm:
+        solve_shares(stations, 0.3, tight, CFG, previous=previous)
+    with pytest.raises(InfeasibleShareError) as cold:
+        solve_shares(stations, 0.3, tight, CFG, previous=strip(previous))
+    assert warm.value.diagnostics == cold.value.diagnostics
+    assert str(warm.value) == str(cold.value)
+    assert set(warm.value.diagnostics.values()) == {"infeasible"}

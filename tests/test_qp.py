@@ -244,6 +244,17 @@ def test_rejects_shape_mismatch():
         solve_qp(np.eye(2), [0.0, 0.0], np.eye(3), [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("blocks, match", [
+    ({"G": [[1.0, 0.0]]}, "G given without h"),
+    ({"A": [[1.0, 1.0]]}, "A given without b"),
+])
+def test_rejects_a_block_without_its_right_hand_side(blocks, match):
+    # read as np.asarray(None) this is a one-row NaN right-hand side that
+    # passes the size check and runs the iteration budget out
+    with pytest.raises(ValueError, match=match):
+        solve_qp(np.eye(2), [1.0, 2.0], **blocks)
+
+
 def test_tight_equality_start_not_declared_infeasible():
     # equalities already pin x; inequalities hold with zero slack
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
