@@ -1,4 +1,4 @@
-"""Session fixtures shared by the test modules.
+"""Fixtures shared by the test modules.
 
 The full default scenario runs twice per session: once for every test
 that reads its report, and once more, fresh, for the tests that check
@@ -7,6 +7,7 @@ a rerun reproduces it.
 
 import pytest
 
+from steamfleet import qp
 from steamfleet.config import default_config
 from steamfleet.scenario import run_scenario
 
@@ -19,3 +20,37 @@ def default_run():
 @pytest.fixture(scope="session")
 def default_rerun():
     return run_scenario(default_config())
+
+
+@pytest.fixture
+def count_qp_starts(monkeypatch):
+    """Counter of the QP solves a module makes, their iterations and
+    their cold starts: ``count_qp_starts(module)`` returns a dict whose
+    "solves", "cold" and "iters" grow as ``module.solve_qp`` runs.  Only
+    a cold start computes the phase-1 point, so a call of it inside one
+    of those solves marks a solve whose guess went unused (or that had
+    none)."""
+    def start(module):
+        calls = {"solves": 0, "cold": 0, "iters": 0}
+        inside = []
+        initial_point, solve_qp = qp._initial_point, module.solve_qp
+
+        def counted_start(*args):
+            calls["cold"] += bool(inside)
+            return initial_point(*args)
+
+        def counted_solve(*args, **kwargs):
+            inside.append(True)
+            try:
+                res = solve_qp(*args, **kwargs)
+            finally:
+                inside.pop()
+            calls["solves"] += 1
+            calls["iters"] += res.iterations
+            return res
+
+        monkeypatch.setattr(qp, "_initial_point", counted_start)
+        monkeypatch.setattr(module, "solve_qp", counted_solve)
+        return calls
+
+    return start

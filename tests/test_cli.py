@@ -196,6 +196,28 @@ def test_run_from_config_file_end_to_end(tmp_path):
     assert header.endswith("alpha_1,delta_1,qs_1,qg_1,qf_1,p_1_bar,Vw_1_m3")
 
 
+def test_demand_above_fleet_capacity_runs_every_boiler_at_its_cap(tmp_path):
+    # 50 kg/s against a fleet that makes at most sum q_s_max = 5.999:
+    # dispatch lights all five boilers at their caps and the run stays
+    # clean
+    cfg = dataclasses.replace(
+        BASE, demand=((0.0, 50.0),),
+        timing=dataclasses.replace(BASE.timing, duration=600.0))
+    path = tmp_path / "cfg.json"
+    path.write_text(to_json(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["violations"] == 0
+    header, *rows = (out / "timeseries.csv").read_text().splitlines()
+    cols = header.split(",")
+    capacity = sum(b.q_s_max for b in BASE.boilers)
+    assert capacity == pytest.approx(5.999, abs=1e-12)
+    for row in rows:
+        cells = dict(zip(cols, row.split(",")))
+        assert [cells[f"delta_{i}"] for i in range(1, 6)] == ["1"] * 5
+        assert float(cells["u_ss_kgps"]) == pytest.approx(capacity, abs=1e-9)
+
+
 def test_identify_writes_models(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(to_json(small_config()))

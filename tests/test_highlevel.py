@@ -1,17 +1,23 @@
-"""Share optimizer against a pattern-enumerating greedy-fill oracle."""
+"""Share optimizer against a pattern-enumerating greedy-fill oracle and
+against exhaustive enumeration of the pattern QPs."""
 
 import dataclasses
+import importlib.util
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from steamfleet import qp
+from steamfleet import highlevel, qp, scenario
 from steamfleet.config import GlobalSets, ShareConfig, default_config
 from steamfleet.highlevel import (InfeasibleShareError, ShareSolution,
-                                  StationData, _pattern_qp, should_resolve,
-                                  solve_shares, station_data)
+                                  StationData, _bound, _pattern_qp,
+                                  _true_cost, should_resolve, solve_shares,
+                                  station_data)
+from steamfleet.mpc import command_bounds
 
 CFG = ShareConfig()
 # the headroom guard trades optimality for a usable command interval, so the
@@ -296,51 +302,50 @@ def test_resolve_trigger_rules():
     assert not should_resolve(1.0, prev, 4, cfg)
 
 
-def count_cold_starts(monkeypatch):
-    """List that grows by one at each cold start, the only path that
-    computes the phase-1 point."""
-    starts = []
-    initial_point = qp._initial_point
-
-    def counted(*args):
-        starts.append(args)
-        return initial_point(*args)
-
-    monkeypatch.setattr(qp, "_initial_point", counted)
-    return starts
-
-
 def strip(solution):
     """``solution`` without its working sets, so a solve from it is cold."""
     return dataclasses.replace(solution, working_sets=())
 
 
-def test_warm_started_chain_matches_cold_chain(default_run, monkeypatch):
-    # the shipped fleet over the default schedule, then a seeded walk;
-    # each solve couples rates to the one before it.  One chain hands
-    # on the working sets, the other strips them.
+def shipped_stations(idents):
     cfg = default_config()
-    stations = [station_data(p, s.model)
-                for p, s in zip(cfg.boilers, default_run.idents)]
-    n_patterns = 2 ** len(stations) - 1
+    return [station_data(p, s.model) for p, s in zip(cfg.boilers, idents)]
+
+
+def walk_demands(cfg):
+    """The default schedule's levels, then a 40-step seeded walk."""
     rng = random.Random(100)
     demands = [d for _, d in cfg.demand]
     x = 2.5
     for _ in range(40):
         x = min(max(x + rng.uniform(-0.15, 0.15), 1.0), 4.0)
         demands.append(x)
-    starts = count_cold_starts(monkeypatch)
+    return demands
+
+
+def test_warm_started_chain_matches_cold_chain(default_run, count_qp_starts):
+    # the shipped fleet over the default schedule, then a seeded walk;
+    # each solve couples rates to the one before it.  One chain hands
+    # on the working sets, the other strips them.
+    cfg = default_config()
+    stations = shipped_stations(default_run.idents)
+    n_patterns = 2 ** len(stations) - 1
+    demands = walk_demands(cfg)
+    calls = count_qp_starts(highlevel)
     warm = cold = None
-    warm_cold_starts = 0
+    warm_qps = warm_cold_starts = 0
     for demand in demands:
-        before = len(starts)
+        before = dict(calls)
         warm = solve_shares(stations, demand, cfg.sets, cfg.share,
                             previous=warm)
-        warm_cold_starts += len(starts) - before
-        before = len(starts)
+        warm_qps += calls["solves"] - before["solves"]
+        warm_cold_starts += calls["cold"] - before["cold"]
+        before = dict(calls)
         cold = solve_shares(stations, demand, cfg.sets, cfg.share,
                             previous=cold and strip(cold))
-        assert len(starts) - before == n_patterns
+        # each QP the stripped chain evaluates starts cold
+        assert (calls["cold"] - before["cold"]
+                == calls["solves"] - before["solves"] > 0)
         assert warm.delta == cold.delta, demand
         assert warm.working_sets == cold.working_sets, demand
         assert len(warm.working_sets) == n_patterns
@@ -348,12 +353,16 @@ def test_warm_started_chain_matches_cold_chain(default_run, monkeypatch):
         assert warm.alpha == pytest.approx(cold.alpha, rel=0, abs=1e-12)
         assert warm.u_ss == pytest.approx(cold.u_ss, rel=0, abs=1e-12)
         assert warm.cost == pytest.approx(cold.cost, rel=0, abs=1e-12)
-    # the guesses are taken, not only offered: 289 of 1 426 QPs start
-    # cold at seed 2214, most of them where the walk moves a bound
-    assert warm_cold_starts <= len(demands) * n_patterns // 4
+    # bound and prune solves 265 of the 1 426 pattern QPs at seed 2214,
+    # and the guesses are taken, not only offered: 173 of the 265 start
+    # cold, 117 of them without a guess (the first solve and patterns
+    # the solve before pruned)
+    assert warm_qps <= 290
+    assert warm_cold_starts <= 190
 
 
-def test_previous_without_this_fleets_working_sets_starts_cold(monkeypatch):
+def test_previous_without_this_fleets_working_sets_starts_cold(
+        count_qp_starts):
     stations = [make_station(0.5, 1.0, 0.1, 3.0),
                 make_station(0.6, 2.0, 0.1, 3.0),
                 make_station(0.4, 3.0, 0.1, 3.0)]
@@ -363,11 +372,13 @@ def test_previous_without_this_fleets_working_sets_starts_cold(monkeypatch):
     wider = solve_shares(stations + [make_station(0.5, 4.0, 0.1, 3.0)], 2.0,
                          WIDE, CFG)
     assert len(wider.working_sets) == 15
-    starts = count_cold_starts(monkeypatch)
+    calls = count_qp_starts(highlevel)
     for previous in (hand_built, wider):
-        before = len(starts)
+        before = dict(calls)
         sol = solve_shares(stations, 2.5, WIDE, CFG, previous=previous)
-        assert len(starts) - before == 7
+        # each evaluated QP starts cold
+        assert (calls["cold"] - before["cold"]
+                == calls["solves"] - before["solves"] > 0)
         assert sol == solve_shares(stations, 2.5, WIDE, CFG,
                                    previous=strip(previous))
 
@@ -376,6 +387,12 @@ def test_guesses_never_hide_infeasibility():
     stations = [make_station(0.6, 2.0, 0.5, 1.0),
                 make_station(0.5, 3.0, 0.5, 1.0)]
     previous = solve_shares(stations, 1.2, WIDE, CFG)
+    # a guess for every pattern, the ones this solve pruned included
+    lam_bar = 1e3 * max(st.cost for st in stations)
+    previous = dataclasses.replace(previous, working_sets=tuple(
+        qp.solve_qp(*_pattern_qp(stations, active, 1.2, WIDE, CFG, lam_bar,
+                                 None)[:4]).active
+        for active in ([1], [0], [0, 1])))
     assert None not in previous.working_sets
     # station floors above the plant-wide command ceiling
     tight = GlobalSets(u_min=0.0, u_max=0.4, y_min=0.0, y_max=100.0,
@@ -384,6 +401,176 @@ def test_guesses_never_hide_infeasibility():
         solve_shares(stations, 0.3, tight, CFG, previous=previous)
     with pytest.raises(InfeasibleShareError) as cold:
         solve_shares(stations, 0.3, tight, CFG, previous=strip(previous))
+    # with no feasible pattern there is no incumbent, so none is pruned
+    assert list(warm.value.diagnostics) == [(0, 1), (1, 0), (1, 1)]
     assert warm.value.diagnostics == cold.value.diagnostics
     assert str(warm.value) == str(cold.value)
     assert set(warm.value.diagnostics.values()) == {"infeasible"}
+
+
+def exhaustive(stations, demand, sets, cfg, previous):
+    """Reference dispatch: every pattern QP built by ``_pattern_qp`` and
+    solved cold by the kernel, under ``solve_shares``'s row check,
+    headroom guard and tie rule.  Returns (pattern, flows)."""
+    n = len(stations)
+    lam_bar = cfg.lambda_bar
+    if lam_bar is None:
+        lam_bar = 1e3 * max(st.cost for st in stations)
+    candidates = []
+    for delta in product((0, 1), repeat=n):
+        active = [i for i in range(n) if delta[i]]
+        if not active:
+            continue
+        H, f, G, h, lo = _pattern_qp(stations, active, demand, sets, cfg,
+                                     lam_bar, previous)
+        res = qp.solve_qp(H, f, G, h)
+        if res.status != "optimal" or max(G @ res.x - h) > 1e-7:
+            continue
+        flows = lo + res.x
+        u_ss = float(flows.sum())
+        full = [0.0] * n
+        for j, i in enumerate(active):
+            full[i] = float(flows[j])
+        if cfg.min_headroom > 0.0 and u_ss > 1e-9:
+            u_lo, u_hi = command_bounds(
+                stations, [v / u_ss for v in full], sets)
+            if u_hi - u_lo < cfg.min_headroom:
+                continue
+        cost = _true_cost(stations, active, flows, u_ss, demand, lam_bar)
+        candidates.append((float(cost), delta, tuple(full)))
+    best = min(cost for cost, _, _ in candidates)
+    window = cfg.tie_tol * max(1.0, abs(best))
+    _, delta, flows = min((sum(delta), delta, flows)
+                          for cost, delta, flows in candidates
+                          if cost <= best + window)
+    return delta, flows
+
+
+def assert_matches_exhaustive(sol, stations, demand, sets, cfg, previous):
+    delta, flows = exhaustive(stations, demand, sets, cfg, previous)
+    assert sol.delta == delta, demand
+    assert sol.flows == pytest.approx(flows, rel=0, abs=1e-12), demand
+
+
+def workload_config(name, seed=2214):
+    """The benchmark's workload ``name`` (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name](seed)
+
+
+@pytest.mark.parametrize("workload, n_solves", [("default", 25),
+                                                ("long_hold", 4)])
+def test_pruned_dispatch_matches_exhaustive_on_the_workloads(
+        workload, n_solves, default_run, monkeypatch):
+    solves = []
+
+    def recorded(*args, previous=None):
+        sol = solve_shares(*args, previous=previous)
+        solves.append((sol, args, previous))
+        return sol
+
+    monkeypatch.setattr(scenario, "solve_shares", recorded)
+    report = scenario.run_scenario(workload_config(workload),
+                                   idents=default_run.idents)
+    assert report.violations == []
+    assert report.hl_solves == len(solves) == n_solves
+    for sol, args, previous in solves:
+        assert_matches_exhaustive(sol, *args, previous)
+
+
+def perturbed_fleet(idents, n, rng):
+    """``n`` stations cycling through the shipped five, each gain scaled
+    by U(0.8, 1.2) and cost by U(0.7, 1.3)."""
+    return [dataclasses.replace(st, gain=st.gain * rng.uniform(0.8, 1.2),
+                                cost=st.cost * rng.uniform(0.7, 1.3))
+            for st in (shipped_stations(idents)[i % 5] for i in range(n))]
+
+
+@pytest.mark.parametrize("fleet, n_solves", [
+    pytest.param("walk", None, id="walk"), pytest.param(5, 30, id="n5"),
+    pytest.param(8, 10, id="n8"), pytest.param(10, 3, id="n10")])
+def test_pruned_dispatch_matches_exhaustive_along_a_chain(
+        fleet, n_solves, default_run):
+    # rate coupling to the solve before; "walk" is the shipped fleet
+    # over walk_demands, the others perturbed fleets of that size with
+    # plant boxes scaled with the fleet, at one seeded demand in each of
+    # n_solves equal slices of [0, 1.1] times capacity, shuffled
+    cfg = default_config()
+    if fleet == "walk":
+        stations, sets = shipped_stations(default_run.idents), cfg.sets
+        demands = walk_demands(cfg)
+    else:
+        rng = random.Random(fleet)
+        stations = perturbed_fleet(default_run.idents, fleet, rng)
+        scale = fleet / 5
+        sets = dataclasses.replace(cfg.sets, u_max=cfg.sets.u_max * scale,
+                                   y_max=cfg.sets.y_max * scale)
+        capacity = sum(st.u_max for st in stations)
+        demands = [1.1 * capacity * (k + rng.random()) / n_solves
+                   for k in range(n_solves)]
+        rng.shuffle(demands)
+    previous = None
+    for demand in demands:
+        sol = solve_shares(stations, demand, sets, cfg.share,
+                           previous=previous)
+        assert_matches_exhaustive(sol, stations, demand, sets, cfg.share,
+                                  previous)
+        previous = sol
+
+
+def pattern_costs(stations, demand, sets, cfg, previous):
+    """(bound, true cost at the QP solution) of every feasible pattern."""
+    lam_bar = 1e3 * max(st.cost for st in stations)
+    n = len(stations)
+    for delta in product((0, 1), repeat=n):
+        active = [i for i in range(n) if delta[i]]
+        if not active:
+            continue
+        H, f, G, h, lo = _pattern_qp(stations, active, demand, sets, cfg,
+                                     lam_bar, previous)
+        res = qp.solve_qp(H, f, G, h)
+        if res.status != "optimal":
+            continue
+        flows = lo + res.x
+        yield (_bound(stations, active, demand, lam_bar),
+               _true_cost(stations, active, flows, float(flows.sum()),
+                          demand, lam_bar))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=strategies.integers(0, 2 ** 32 - 1),
+       gas_box=strategies.booleans())
+def test_bound_never_exceeds_the_pattern_cost(seed, gas_box):
+    # the shipped reg, rate coupling to a previous solve and plant-wide
+    # boxes that may bind all only raise the cost above the bound
+    rng = np.random.default_rng(seed)
+    stations, demand = random_instance(rng, gas_box)
+    previous = solve_shares(stations, demand, WIDE, ECON_CFG)
+    cap = sum(st.u_max for st in stations)
+    sets = GlobalSets(u_min=rng.uniform(0.0, 0.5 * cap),
+                      u_max=rng.uniform(0.5 * cap, 1.2 * cap),
+                      y_min=0.0, y_max=rng.uniform(0.3, 1.0) * cap,
+                      delta_u=rng.uniform(0.1, 1.0))
+    shifted = demand * rng.uniform(0.5, 1.5)
+    costs = list(pattern_costs(stations, shifted, sets, CFG, previous))
+    for bound, cost in costs:
+        assert bound <= cost + 1e-12 * max(1.0, abs(cost))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=strategies.integers(0, 2 ** 32 - 1),
+       gas_box=strategies.booleans())
+def test_bound_is_the_relaxed_pattern_optimum(seed, gas_box):
+    # no reg, no coupling and slack plant-wide boxes: the bound is the
+    # pattern QP's optimum
+    rng = np.random.default_rng(seed)
+    stations, demand = random_instance(rng, gas_box)
+    demand *= rng.uniform(0.0, 1.5)
+    cfg = ShareConfig(reg=0.0, min_headroom=0.0)
+    costs = list(pattern_costs(stations, demand, WIDE, cfg, None))
+    assert len(costs) == 7
+    for bound, cost in costs:
+        assert bound == pytest.approx(cost, rel=1e-9, abs=1e-9)

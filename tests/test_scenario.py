@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from steamfleet import highlevel, mpc, qp
+from steamfleet import highlevel, mpc
 from steamfleet.config import ConfigError, IdentConfig, default_config
 from steamfleet.lowlevel import init_station, station_step
 from steamfleet.scenario import (IdentifiedStation, ScenarioError, demand_at,
@@ -130,36 +130,8 @@ def test_same_seed_reproduces_the_run(default_run, default_rerun):
     assert again.hl_solves == default_run.hl_solves
 
 
-def count_qp_starts(monkeypatch, module):
-    """Count the QP solves ``module`` makes, their iterations and their
-    cold starts.  Only a cold start computes the phase-1 point, so a call
-    of it inside one of those solves marks a solve whose guess went
-    unused (or that had none)."""
-    calls = {"solves": 0, "cold": 0, "iters": 0}
-    inside = []
-    initial_point, solve_qp = qp._initial_point, module.solve_qp
-
-    def counted_start(*args):
-        calls["cold"] += bool(inside)
-        return initial_point(*args)
-
-    def counted_solve(*args, **kwargs):
-        inside.append(True)
-        try:
-            res = solve_qp(*args, **kwargs)
-        finally:
-            inside.pop()
-        calls["solves"] += 1
-        calls["iters"] += res.iterations
-        return res
-
-    monkeypatch.setattr(qp, "_initial_point", counted_start)
-    monkeypatch.setattr(module, "solve_qp", counted_solve)
-    return calls
-
-
-def test_tracking_solves_start_from_the_last_working_set(monkeypatch):
-    calls = count_qp_starts(monkeypatch, mpc)
+def test_tracking_solves_start_from_the_last_working_set(count_qp_starts):
+    calls = count_qp_starts(mpc)
     report = run_scenario(BASE)
     assert report.violations == []
     assert calls["solves"] == 120
@@ -167,14 +139,15 @@ def test_tracking_solves_start_from_the_last_working_set(monkeypatch):
     assert calls["iters"] <= 200        # 165 at seed 2214, 1 090 all cold
 
 
-def test_dispatch_solves_start_from_the_last_working_sets(monkeypatch):
-    calls = count_qp_starts(monkeypatch, highlevel)
+def test_dispatch_solves_start_from_the_last_working_sets(count_qp_starts):
+    calls = count_qp_starts(highlevel)
     report = run_scenario(BASE)
     assert report.violations == []
     assert report.hl_solves == 25
-    assert calls["solves"] == 775
-    assert calls["cold"] <= 120         # 99 at seed 2214, 31 of them the first
-    assert calls["iters"] <= 1600       # 1 373 at seed 2214, 4 349 all cold
+    # bound and prune solves 32 of the 775 pattern QPs at seed 2214
+    assert calls["solves"] == 32
+    assert calls["cold"] <= 12          # 10 at seed 2214, 1 of them the first
+    assert calls["iters"] <= 120        # 107 at seed 2214
 
 
 def test_template_failure_names_the_boilers():
