@@ -179,19 +179,20 @@ def validate_config(cfg):
         issues.append("loop config count does not match boiler count")
     for i, b in enumerate(cfg.boilers):
         if b.V_T <= 0 or b.m_T <= 0 or b.c_p <= 0:
-            issues.append(f"boiler {i}: non-positive physical parameter")
+            issues.append(f"boiler {i + 1}: non-positive physical parameter")
         if not (0 < b.eta <= 1):
-            issues.append(f"boiler {i}: efficiency outside (0, 1]")
+            issues.append(f"boiler {i + 1}: efficiency outside (0, 1]")
         if b.lambda_lhv <= 0:
-            issues.append(f"boiler {i}: non-positive heating value")
+            issues.append(f"boiler {i + 1}: non-positive heating value")
         if b.lambda_cost <= 0:
-            issues.append(f"boiler {i}: non-positive fuel cost")
+            issues.append(f"boiler {i + 1}: non-positive fuel cost")
         if not (0 <= b.q_s_min < b.q_s_max):
-            issues.append(f"boiler {i}: bad steam interval")
+            issues.append(f"boiler {i + 1}: bad steam interval")
         if not (0 <= b.q_g_min < b.q_g_max):
-            issues.append(f"boiler {i}: bad gas interval")
+            issues.append(f"boiler {i + 1}: bad gas interval")
         if not (10.0 < b.p_sp < 100.0):
-            issues.append(f"boiler {i}: set-point outside the property fits")
+            issues.append(
+                f"boiler {i + 1}: set-point outside the property fits")
     t = cfg.timing
     if t.dt <= 0 or t.tau <= 0 or t.nu < 1:
         issues.append("non-positive timing entry")

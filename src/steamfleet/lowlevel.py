@@ -11,6 +11,12 @@ Two discrete PI compensators run at the fast period ``tau``:
 Both use conditional anti-windup: the integrator freezes whenever the
 unsaturated output already exceeds the active rail in the direction of
 the error.
+
+A :class:`StationState` carries the gas in force: R's output
+``loop_r.output`` is the gas flow the boiler burns until R next ticks,
+so :func:`gas_update` (R, at the period boundary) and
+:func:`apply_period` (C and the plant, once the steam command is known)
+hand each other one state and nothing else.
 """
 
 from dataclasses import dataclass
@@ -60,23 +66,28 @@ def init_station(params, q_s, vw_frac=0.5):
 
 
 def gas_update(params, cfg_r, state, tau):
-    """R-loop update at a period boundary, returning (q_g, loop state).
+    """R-loop update at a period boundary, returning the station state
+    whose ``loop_r.output`` is the gas for the coming period.
 
     The coming period's gas depends only on the measured pressure, so
     it is known before the steam command for the period is chosen; the
     supervisory layers sample it as their output measurement.
     """
     e_r = params.p_sp - state.boiler.p
-    return pi_step(cfg_r, state.loop_r, e_r, tau)
+    _, loop_r = pi_step(cfg_r, state.loop_r, e_r, tau)
+    return StationState(state.boiler, loop_r, state.loop_c)
 
 
-def apply_period(params, cfg_c, state, loop_r, q_g, q_s_cmd, tau, dt):
-    """Finish one fast period given the already-updated R loop."""
+def apply_period(params, cfg_c, state, q_s_cmd, tau, dt):
+    """Finish one fast period from the state :func:`gas_update` returned:
+    step the C loop and integrate the boiler under the gas in force
+    (``state.loop_r.output``).  Returns the new state and the feed q_f.
+    """
     e_c = q_s_cmd - state.loop_c.integrator
     q_f, loop_c = pi_step(cfg_c, state.loop_c, e_c, tau)
-    inputs = BoilerInputs(q_g=q_g, q_f=q_f, q_s=q_s_cmd)
+    inputs = BoilerInputs(q_g=state.loop_r.output, q_f=q_f, q_s=q_s_cmd)
     boiler = simulate(params, state.boiler, inputs, tau, dt)
-    return StationState(boiler, loop_r, loop_c), q_f
+    return StationState(boiler, state.loop_r, loop_c), q_f
 
 
 def station_step(params, cfg_r, cfg_c, state, q_s_cmd, tau, dt):
@@ -86,10 +97,9 @@ def station_step(params, cfg_r, cfg_c, state, q_s_cmd, tau, dt):
     previously tracked command.  Returns the new state and the applied
     (q_g, q_f).
     """
-    q_g, loop_r = gas_update(params, cfg_r, state, tau)
-    new_state, q_f = apply_period(params, cfg_c, state, loop_r, q_g,
-                                  q_s_cmd, tau, dt)
-    return new_state, q_g, q_f
+    state = gas_update(params, cfg_r, state, tau)
+    new_state, q_f = apply_period(params, cfg_c, state, q_s_cmd, tau, dt)
+    return new_state, state.loop_r.output, q_f
 
 
 def run_station(params, cfg_r, cfg_c, state, commands, tau, dt):

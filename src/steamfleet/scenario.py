@@ -21,7 +21,6 @@ and the state ``nu`` periods back is the one computed at the previous
 slow step, so memory and per-step cost do not grow with the run length.
 """
 
-import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -158,22 +157,24 @@ def run_identification(cfg):
 
 
 def select_template(models, delta_u, nu, safety):
-    """Index of the model whose dynamics, shared across the fleet, give
-    the smallest certified mismatch bound.
+    """Reference models and certified mismatch bound of the template
+    whose dynamics, shared across the fleet, give the smallest bound.
 
     The template fixes the common denominator of every reference model,
     so the relevant figure of merit is the disturbance bound the slow
     controller will have to absorb, not any property of the template in
-    isolation.  Ties break to the lower index.
+    isolation.  Ties break to the lower index.  Returns ``(refs,
+    bound)``: the winner's references, one per model, and its
+    :class:`~steamfleet.ensemble.DisturbanceBound`.
     """
     actuals = [realize(m) for m in models]
-    best, best_w = 0, math.inf
+    best = None
     for t in range(len(models)):
         refs = _references(models, t)
-        w = estimate_disturbance_bound(refs, actuals, delta_u, nu,
-                                       safety=safety).w_inf
-        if w < best_w:
-            best, best_w = t, w
+        bound = estimate_disturbance_bound(refs, actuals, delta_u, nu,
+                                           safety=safety)
+        if best is None or bound.w_inf < best[1].w_inf:
+            best = refs, bound
     return best
 
 
@@ -245,30 +246,15 @@ def run_scenario(cfg, idents=None):
     if idents is None:
         idents = run_identification(cfg)
     models = [s.model for s in idents]
-    refs = _references(models, select_template(models, cfg.sets.delta_u,
-                                               cfg.timing.nu,
-                                               cfg.mpc.w_safety))
-    actuals = [realize(m) for m in models]
-    bound = estimate_disturbance_bound(refs, actuals, cfg.sets.delta_u,
-                                       cfg.timing.nu,
-                                       safety=cfg.mpc.w_safety)
+    refs, bound = select_template(models, cfg.sets.delta_u, cfg.timing.nu,
+                                  cfg.mpc.w_safety)
     w_inf = bound.w_inf
 
     nu, tau, dt = cfg.timing.nu, cfg.timing.tau, cfg.timing.dt
     n_slow = int(round(cfg.timing.duration / (nu * tau)))
-    n_b = len(cfg.boilers)
     hl_stations = [station_data(p, m) for p, m in zip(cfg.boilers, models)]
 
     report = RunReport(w_certified=w_inf, idents=list(idents))
-
-    def reconfigure(t, shares):
-        slow = resample(aggregate(refs, shares.delta, shares.alpha), nu)
-        try:
-            ctrl = build_controller(slow, hl_stations, shares.alpha,
-                                    cfg.sets, w_inf, cfg.mpc)
-        except Exception as exc:
-            raise ScenarioError(t, f"controller rebuild failed: {exc}") from exc
-        return slow, ctrl
 
     demand0 = demand_at(cfg.demand, 0.0)
     try:
@@ -277,14 +263,12 @@ def run_scenario(cfg, idents=None):
         raise ScenarioError(0.0, f"initial dispatch failed: {exc}") from exc
     report.hl_solves = 1
     last_solve_step = 0
-    slow, ctrl = reconfigure(0.0, shares)
-    r = slow.gain * shares.u_ss + slow.gamma
+    ctrl = None     # built at the first slow boundary and on share changes
 
     states = [init_station(p, q, cfg.vw_frac)
               for p, q in zip(cfg.boilers, shares.flows)]
     u_cmds = _distribute(shares.u_ss, shares.delta, shares.alpha)
     u_bar = shares.u_ss
-    r_hat = r
     active = None   # optimal working set of the last tracking QP
 
     # station-grid histories of model length, seeded at equilibrium
@@ -294,18 +278,17 @@ def run_scenario(cfg, idents=None):
                      maxlen=max(1, ref.n_b_eff - 1))
                for u, ref in zip(u_cmds, refs)]
     x_stations_prev = measured_state(refs, y_hists, u_hists)
-
     x_pred = None
-    pred_delta = None
 
     for k in range(n_slow * nu):
         m, j = divmod(k, nu)
         t = m * nu * tau
         tf = t + j * tau
-        # R loops tick first; their outputs are this instant's measurement
-        pend = [gas_update(cfg.boilers[i], cfg.pi_r[i], states[i], tau)
-                for i in range(n_b)]
-        y_meas = [q_g for q_g, _ in pend]
+        # R loops tick first; the gas they put in force is this
+        # instant's measurement
+        states = [gas_update(p, c, st, tau)
+                  for p, c, st in zip(cfg.boilers, cfg.pi_r, states)]
+        y_meas = [st.loop_r.output for st in states]
         for h, q_g in zip(y_hists, y_meas):
             h.append(q_g)
 
@@ -316,7 +299,7 @@ def run_scenario(cfg, idents=None):
             x_stations = measured_state(refs, y_hists, u_hists)
             if x_pred is not None:
                 w_obs = float(np.max(np.abs(
-                    ensemble_state(x_stations, pred_delta) - x_pred)))
+                    ensemble_state(x_stations, meas_delta) - x_pred)))
                 report.max_w_obs = max(report.max_w_obs, w_obs)
                 if w_inf > 0.0 and w_obs > w_inf:
                     report.violations.append(
@@ -334,23 +317,30 @@ def run_scenario(cfg, idents=None):
                     raise ScenarioError(t, f"dispatch failed: {exc}") from exc
                 report.hl_solves += 1
                 last_solve_step = m
-                changed = (new_shares.delta != shares.delta
-                           or any(abs(a - b) > 1e-12 for a, b in
-                                  zip(new_shares.alpha, shares.alpha)))
-                if changed:
+                if (new_shares.delta != shares.delta
+                        or any(abs(a - b) > 1e-12 for a, b in
+                               zip(new_shares.alpha, shares.alpha))):
                     first_move = first_move_cap(shares.alpha, shares.delta,
                                                 new_shares.alpha,
                                                 new_shares.delta,
                                                 cfg.sets.delta_u)
-                    shares = new_shares
                     # input memory follows the surviving ensemble: a
                     # removed station takes its flow with it (diverted,
                     # not counted)
-                    u_bar = sum(u for u, d in zip(u_cmds, shares.delta) if d)
-                    slow, ctrl = reconfigure(t, shares)
-                else:
-                    shares = new_shares
-                r = slow.gain * shares.u_ss + slow.gamma
+                    u_bar = sum(u for u, d in zip(u_cmds, new_shares.delta)
+                                if d)
+                    ctrl = None
+                shares = new_shares
+            if ctrl is None:
+                slow = resample(aggregate(refs, shares.delta, shares.alpha),
+                                nu)
+                try:
+                    ctrl = build_controller(slow, hl_stations, shares.alpha,
+                                            cfg.sets, w_inf, cfg.mpc)
+                except Exception as exc:
+                    raise ScenarioError(
+                        t, f"controller rebuild failed: {exc}") from exc
+            r = slow.gain * shares.u_ss + slow.gamma
 
             x_now = ensemble_state(x_stations, shares.delta)
             xi0 = velocity_state(x_stations, x_stations_prev, y_meas,
@@ -365,7 +355,6 @@ def run_scenario(cfg, idents=None):
             r_hat = sol.r_hat
             active = sol.active
             x_pred = slow.A @ x_now + slow.B.reshape(-1) * u_bar
-            pred_delta = shares.delta
             x_stations_prev = x_stations
             u_cmds = _distribute(u_bar, shares.delta, shares.alpha)
 
@@ -376,11 +365,10 @@ def run_scenario(cfg, idents=None):
         p_row = tuple(st.boiler.p for st in states)
         vw_row = tuple(st.boiler.V_w for st in states)
         qf_row = []
-        for i, (q_g, loop_r) in enumerate(pend):
+        for i, (p, c) in enumerate(zip(cfg.boilers, cfg.pi_c)):
             try:
-                states[i], q_f = apply_period(
-                    cfg.boilers[i], cfg.pi_c[i], states[i], loop_r, q_g,
-                    u_cmds[i], tau, dt)
+                states[i], q_f = apply_period(p, c, states[i], u_cmds[i],
+                                              tau, dt)
             except (PressureRangeError, ModelValidityError) as exc:
                 raise ScenarioError(tf, f"boiler {i + 1}: {exc}") from exc
             u_hists[i].append(u_cmds[i])

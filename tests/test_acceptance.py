@@ -13,8 +13,7 @@ import pytest
 
 from steamfleet.boiler import balance_gas
 from steamfleet.config import default_config
-from steamfleet.ensemble import (aggregate, estimate_disturbance_bound,
-                                 make_reference, resample)
+from steamfleet.ensemble import aggregate, resample
 from steamfleet.highlevel import solve_shares, station_data
 from steamfleet.lowlevel import (init_station, run_station, settling_time,
                                  static_map)
@@ -86,10 +85,9 @@ def test_c03_identification_fit_and_stability_gates(fleet_models):
 def test_c04_reference_models_preserve_station_gains(fleet_models):
     idents, _ = fleet_models
     models = [s.model for s in idents]
-    template = models[select_template(models, CFG.sets.delta_u,
-                                      CFG.timing.nu, CFG.mpc.w_safety)]
-    for model in models:
-        ref = make_reference(model, template)
+    refs, _ = select_template(models, CFG.sets.delta_u, CFG.timing.nu,
+                              CFG.mpc.w_safety)
+    for model, ref in zip(models, refs):
         assert abs(ref.gain - model.gain) <= 1e-9
         # step responses meet at steady state
         actual = realize(model)
@@ -107,9 +105,8 @@ def test_c04_reference_models_preserve_station_gains(fleet_models):
 def test_c05_resampling_identities(fleet_models):
     idents, _ = fleet_models
     models = [s.model for s in idents]
-    template = models[select_template(models, CFG.sets.delta_u,
-                                      CFG.timing.nu, CFG.mpc.w_safety)]
-    refs = [make_reference(m, template) for m in models]
+    refs, _ = select_template(models, CFG.sets.delta_u, CFG.timing.nu,
+                              CFG.mpc.w_safety)
     agg = aggregate(refs, (1, 1, 1, 1, 1), (0.2,) * 5)
     for nu in (1, 2, 3, 7):
         slow = resample(agg, nu)
@@ -205,13 +202,9 @@ def test_c09_offset_free_tracking_under_disturbances(fleet_models):
     # and the 0.5 kg/s rate cap never violated
     idents, _ = fleet_models
     models = [s.model for s in idents]
-    template = models[select_template(models, CFG.sets.delta_u,
-                                      CFG.timing.nu, CFG.mpc.w_safety)]
-    refs = [make_reference(m, template) for m in models]
-    actuals = [realize(m) for m in models]
-    w_inf = estimate_disturbance_bound(refs, actuals, CFG.sets.delta_u,
-                                       CFG.timing.nu,
-                                       safety=CFG.mpc.w_safety).w_inf
+    refs, bound = select_template(models, CFG.sets.delta_u, CFG.timing.nu,
+                                  CFG.mpc.w_safety)
+    w_inf = bound.w_inf
     stations = [station_data(p, m) for p, m in zip(CFG.boilers, models)]
     shares = solve_shares(stations, 2.0, CFG.sets, CFG.share)
     slow = resample(aggregate(refs, shares.delta, shares.alpha),

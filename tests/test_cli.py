@@ -322,11 +322,12 @@ def test_gas_breach_between_slow_boundaries_exits_two(tmp_path, monkeypatch,
     calls = []
 
     def breach(params, *args):
-        q_g, loop_r = real(params, *args)
+        state = real(params, *args)
         calls.append(params)
         if len(calls) == 2:
-            q_g = params.q_g_min - 0.01
-        return q_g, loop_r
+            state = dataclasses.replace(state, loop_r=dataclasses.replace(
+                state.loop_r, output=params.q_g_min - 0.01))
+        return state
 
     monkeypatch.setattr(scenario, "gas_update", breach)
     path = tmp_path / "cfg.json"

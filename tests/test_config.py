@@ -45,6 +45,11 @@ def test_validate_flags_bad_entries():
         BASE, boilers=(dataclasses.replace(BASE.boilers[0], eta=1.5),)
         + BASE.boilers[1:])
     assert any("efficiency" in s for s in validate_config(bad_eta))
+    # boilers are numbered from 1, as in every other message
+    fifth = dataclasses.replace(
+        BASE, boilers=BASE.boilers[:4]
+        + (dataclasses.replace(BASE.boilers[4], eta=1.5),))
+    assert "boiler 5: efficiency outside (0, 1]" in validate_config(fifth)
 
     ragged = dataclasses.replace(
         BASE, timing=dataclasses.replace(BASE.timing, tau=10.0, dt=3.0))

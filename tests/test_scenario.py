@@ -1,16 +1,19 @@
 """Orchestration layer: identification wiring, the closed loop, audits."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from steamfleet import highlevel, mpc
+from steamfleet import highlevel, mpc, scenario
 from steamfleet.config import ConfigError, IdentConfig, default_config
+from steamfleet.ensemble import estimate_disturbance_bound, make_reference
 from steamfleet.lowlevel import init_station, station_step
 from steamfleet.scenario import (IdentifiedStation, ScenarioError, demand_at,
-                                 run_identification, run_scenario)
-from steamfleet.sysid import ArxModel, IdentifiabilityError, free_run
+                                 run_identification, run_scenario,
+                                 select_template)
+from steamfleet.sysid import ArxModel, IdentifiabilityError, free_run, realize
 
 BASE = default_config()
 
@@ -163,3 +166,66 @@ def test_template_failure_names_the_boilers():
                        match=r"t=0s: boiler 2 on template boiler 1: "
                              r"template orders"):
         run_scenario(cfg, idents=idents)
+
+
+def test_plant_drifting_from_its_fit_breaks_the_certificate(default_run):
+    # boiler 1 loses a tenth of its efficiency after identification: the
+    # run goes on and the audit names each breach of the certificate
+    first = BASE.boilers[0]
+    drifted = dataclasses.replace(first, eta=0.9 * first.eta)
+    cfg = dataclasses.replace(BASE, boilers=(drifted,) + BASE.boilers[1:])
+    report = run_scenario(cfg, idents=default_run.idents)
+    assert report.violations       # 23 at seed 2214, the first at t = 1830 s
+    for v in report.violations:
+        assert re.fullmatch(r"t=\d+s observed mismatch \S+ exceeds "
+                            r"certified bound \S+", v), v
+
+
+def test_template_selection_returns_the_smallest_bound(default_run):
+    models = [s.model for s in default_run.idents]
+    args = (BASE.sets.delta_u, BASE.timing.nu)
+    safety = BASE.mpc.w_safety
+    actuals = [realize(m) for m in models]
+    per_template = []
+    for t in range(len(models)):
+        refs = [make_reference(m, models[t]) for m in models]
+        per_template.append(estimate_disturbance_bound(
+            refs, actuals, *args, safety=safety))
+    w = [b.w_inf for b in per_template]
+    best = w.index(min(w))          # first minimum: ties to the lower index
+    refs, bound = select_template(models, *args, safety)
+    assert bound == per_template[best]
+    for ref, expected in zip(refs, (make_reference(m, models[best])
+                                    for m in models)):
+        assert np.array_equal(ref.A, expected.A)
+        assert np.array_equal(ref.B, expected.B)
+
+
+def test_template_ties_break_to_the_lower_index(default_run, monkeypatch):
+    models = [s.model for s in default_run.idents]
+    real = scenario.estimate_disturbance_bound
+    seen = []
+
+    def flat(refs, *args, **kwargs):
+        seen.append(refs)
+        return dataclasses.replace(real(refs, *args, **kwargs), w_inf=1.0)
+
+    monkeypatch.setattr(scenario, "estimate_disturbance_bound", flat)
+    refs, bound = select_template(models, BASE.sets.delta_u, BASE.timing.nu,
+                                  BASE.mpc.w_safety)
+    assert len(seen) == len(models)
+    assert refs is seen[0] and bound.w_inf == 1.0
+
+
+def test_a_run_certifies_each_template_once(default_run, monkeypatch):
+    real = scenario.estimate_disturbance_bound
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "estimate_disturbance_bound", counted)
+    report = run_scenario(BASE, idents=default_run.idents)
+    assert len(calls) == len(BASE.boilers) == 5
+    assert report.w_certified == default_run.w_certified

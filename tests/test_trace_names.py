@@ -6,9 +6,11 @@ the tracer's table without installing it: ``spans.install`` patches the
 package's modules for the whole process.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,36 @@ def test_simulate_calls_saturation_through_the_boiler_binding(monkeypatch):
     boiler.simulate(params, start, boiler.BoilerInputs(q_g, 0.6, 0.6),
                     10.0, 1.0)
     assert len(calls) == 40    # four RK4 stages per step, ten steps
+
+
+def test_run_loop_calls_the_traced_names_through_scenario(monkeypatch):
+    # The tracer wraps ``scenario``'s own bindings; a loop that reached
+    # the layers another way would leave their time in ``scenario.self_s``.
+    scenario = _module("scenario")
+    base = _module("config").default_config()
+    cfg = dataclasses.replace(
+        base, boilers=base.boilers[:1], pi_r=base.pi_r[:1],
+        pi_c=base.pi_c[:1], demand=((0.0, 0.5),),
+        timing=dataclasses.replace(base.timing, duration=300.0))
+    idents = scenario.run_identification(cfg)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(scenario, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    names = ("gas_update", "apply_period", "measured_state",
+             "ensemble_state", "build_controller", "solve_shares")
+    for name in names:
+        monkeypatch.setattr(scenario, name, counted(name))
+    report = scenario.run_scenario(cfg, idents=idents)
+    n_fast = round(cfg.timing.duration / cfg.timing.tau)
+    assert len(report.frames) == n_fast
+    per_station = n_fast * len(cfg.boilers)
+    assert calls["gas_update"] == calls["apply_period"] == per_station
+    for name in names[2:]:
+        assert calls[name] >= 1, name
