@@ -28,6 +28,13 @@ they run at every RK4 stage:
 
 After each step ``simulate`` checks ``V_w`` again; the end pressure is
 checked by the next stage that reads it.
+
+``simulate`` stops stepping once the state stops moving: after a first
+stage whose two rates are both 0, or after a step whose new ``p`` and
+``V_w`` equal the old ones (``==``).  The inputs are held, so every
+later step would repeat that step exactly, and the state it returns
+has passed every check above.  The result is bit-identical to running
+all the steps.
 """
 
 from dataclasses import dataclass
@@ -166,6 +173,13 @@ def simulate(params, state, inputs, duration, dt):
 
     Fourth-order Runge-Kutta steps of length ``dt`` on ``p`` and ``V_w``
     as bare floats; ``duration`` must be an integer multiple of ``dt``.
+
+    Each step checks, in order: the pressure range and then ``V_w`` and
+    ``phi`` at each of its four stages, then ``V_w`` at the step's end.
+    The loop ends early at a first stage whose rates are both 0, or at
+    a step that leaves ``p`` and ``V_w`` unchanged: with the inputs
+    held, each later step would repeat it, so the state is returned as
+    it stands, bit for bit what the remaining steps would give.
     """
     n = round(duration / dt)
     if abs(n * dt - duration) > 1e-9:
@@ -177,16 +191,21 @@ def simulate(params, state, inputs, duration, dt):
     p, V_w = state.p, state.V_w
     for _ in range(n):
         _, k1p, k1v = _rates(params, saturation(p), V_w, q_g, q_f, q_s)
+        if k1p == 0.0 and k1v == 0.0:
+            break
         _, k2p, k2v = _rates(params, saturation(p + half * k1p),
                              V_w + half * k1v, q_g, q_f, q_s)
         _, k3p, k3v = _rates(params, saturation(p + half * k2p),
                              V_w + half * k2v, q_g, q_f, q_s)
         _, k4p, k4v = _rates(params, saturation(p + dt * k3p),
                              V_w + dt * k3v, q_g, q_f, q_s)
-        p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        V_w = V_w + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (0.0 < V_w < V_T):
-            raise _outside(params, V_w)
+        p_next = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        V_next = V_w + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (0.0 < V_next < V_T):
+            raise _outside(params, V_next)
+        if p_next == p and V_next == V_w:
+            break
+        p, V_w = p_next, V_next
     return BoilerState(p, V_w)
 
 

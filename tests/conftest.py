@@ -7,7 +7,7 @@ a rerun reproduces it.
 
 import pytest
 
-from steamfleet import qp
+from steamfleet import boiler, qp
 from steamfleet.config import default_config
 from steamfleet.scenario import run_scenario
 
@@ -54,3 +54,19 @@ def count_qp_starts(monkeypatch):
         return calls
 
     return start
+
+
+@pytest.fixture
+def count_saturation(monkeypatch):
+    """Counter of the plant's property evaluations: the dict's "calls"
+    grows each time ``boiler.saturation`` runs, four times per RK4 step
+    the plant takes."""
+    calls = {"calls": 0}
+    original = boiler.saturation
+
+    def counted(p):
+        calls["calls"] += 1
+        return original(p)
+
+    monkeypatch.setattr(boiler, "saturation", counted)
+    return calls

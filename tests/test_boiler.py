@@ -9,11 +9,12 @@ the same property fits but is exercised as a black box here).
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steamfleet.boiler import (BoilerInputs, BoilerState, ModelValidityError,
                                balance_gas, derivatives, phi, simulate)
 from steamfleet.config import default_fleet
-from steamfleet.properties import P_MAX, PressureRangeError, saturation
+from steamfleet.properties import P_MAX, P_MIN, PressureRangeError, saturation
 
 B1 = default_fleet()[0]
 MID = BoilerState(p=57.0, V_w=0.5 * B1.V_T)
@@ -166,3 +167,78 @@ def test_static_gain_chain():
         s = saturation(b.p_sp)
         assert g == pytest.approx(
             (s.h_s - b.h_f) / (b.eta * b.lambda_lhv), rel=1e-12)
+
+
+def _every_step(params, state, inputs, n, dt):
+    # RK4 that runs all ``n`` steps, with simulate's arithmetic and checks
+    p, V_w = state.p, state.V_w
+    for _ in range(n):
+        k1p, k1v = derivatives(params, BoilerState(p, V_w), inputs)
+        k2p, k2v = derivatives(
+            params, BoilerState(p + 0.5 * dt * k1p, V_w + 0.5 * dt * k1v),
+            inputs)
+        k3p, k3v = derivatives(
+            params, BoilerState(p + 0.5 * dt * k2p, V_w + 0.5 * dt * k2v),
+            inputs)
+        k4p, k4v = derivatives(
+            params, BoilerState(p + dt * k3p, V_w + dt * k3v), inputs)
+        p = p + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        V_w = V_w + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (0.0 < V_w < params.V_T):
+            raise ModelValidityError(
+                f"V_w={V_w!r} outside (0, {params.V_T}) m3")
+    return BoilerState(p, V_w)
+
+
+def _outcome(integrate, params, state, inputs, n, dt):
+    # the end (p, V_w), or the type and message of what was raised
+    try:
+        end = integrate(params, state, inputs, n, dt)
+    except (PressureRangeError, ModelValidityError) as err:
+        return type(err), str(err)
+    return end.p, end.V_w
+
+
+def _simulate(params, state, inputs, n, dt):
+    return simulate(params, state, inputs, n * dt, dt)
+
+
+@st.composite
+def _plant_calls(draw):
+    b = draw(st.sampled_from(default_fleet()))
+    p = draw(st.floats(P_MIN, P_MAX))
+    V_w = draw(st.floats(0.0, b.V_T, exclude_min=True, exclude_max=True))
+    kind = draw(st.sampled_from(["idle", "balanced", "random"]))
+    if kind == "idle":
+        inputs = BoilerInputs(0.0, 0.0, 0.0)
+    elif kind == "balanced":
+        q_s = draw(st.floats(b.q_s_min, b.q_s_max))
+        inputs = BoilerInputs(balance_gas(b, p, q_s), q_s, q_s)
+    else:
+        inputs = BoilerInputs(draw(st.floats(0.0, b.q_g_max)),
+                              draw(st.floats(0.0, b.q_s_max)),
+                              draw(st.floats(0.0, b.q_s_max)))
+    n = draw(st.sampled_from([0, 1, 10, 60]))
+    return b, BoilerState(p, V_w), inputs, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_plant_calls())
+def test_simulate_equals_rk4_that_runs_every_step(call):
+    # Stopping once the state stops moving changes no bit of the end
+    # state and no exception.
+    b, state, inputs, n = call
+    assert (_outcome(_simulate, b, state, inputs, n, 1.0)
+            == _outcome(_every_step, b, state, inputs, n, 1.0))
+
+
+@pytest.mark.parametrize("state, inputs, n", [
+    (BoilerState(0.5 * P_MIN, MID.V_w), BoilerInputs(0.0, 0.0, 0.0), 10),
+    (BoilerState(57.0, 1.01 * B1.V_T), BoilerInputs(0.0, 0.0, 0.0), 10),
+    (BoilerState(57.0, 0.999 * B1.V_T), BoilerInputs(0.0, 0.0, 1.2), 600),
+], ids=["idle_pressure_out_of_range", "idle_volume_out_of_range",
+        "escape_mid_call"])
+def test_simulate_raises_as_rk4_that_runs_every_step(state, inputs, n):
+    outcome = _outcome(_simulate, B1, state, inputs, n, 1.0)
+    assert outcome[0] in (PressureRangeError, ModelValidityError)
+    assert outcome == _outcome(_every_step, B1, state, inputs, n, 1.0)

@@ -153,6 +153,16 @@ def test_dispatch_solves_start_from_the_last_working_sets(count_qp_starts):
     assert calls["iters"] <= 120        # 107 at seed 2214
 
 
+def test_loop_stops_integrating_boilers_that_hold_still(default_run,
+                                                        count_saturation):
+    # idle stations and held steady states stop after the first RK4
+    # step that leaves their state unchanged
+    report = run_scenario(BASE, idents=default_run.idents)
+    assert report.violations == []
+    # 41 315 at seed 2214; 72 005 when every step of every boiler ran
+    assert count_saturation["calls"] <= 45_000
+
+
 def test_template_failure_names_the_boilers():
     # a second-order template cannot serve a first-order station
     fits = (ArxModel(f=(-0.5, 0.04), b=(0.3, 0.1), n_k=1, c=0.02, tau=10.0),

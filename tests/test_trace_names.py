@@ -54,24 +54,32 @@ def test_simulate_takes_duration_and_dt_fourth_and_fifth():
     assert params[3:5] == ["duration", "dt"]
 
 
-def test_simulate_calls_saturation_through_the_boiler_binding(monkeypatch):
-    # The saturation counter wraps ``boiler.saturation``; a plant kernel
-    # that inlined the fits would leave it reading 0.
+def _set_point_saturation_calls(count_saturation, gas_factor):
+    # ``saturation`` calls of ten 1 s steps of boiler 1 from its
+    # set-point, with the gas at ``gas_factor`` times the gas that holds
+    # the pressure there
     boiler = _module("boiler")
     params = _module("config").default_fleet()[0]
     start = boiler.BoilerState(params.p_sp, 0.5 * params.V_T)
-    q_g = boiler.balance_gas(params, params.p_sp, 0.6)
-    calls = []
-    original = boiler.saturation
-
-    def counted(p):
-        calls.append(p)
-        return original(p)
-
-    monkeypatch.setattr(boiler, "saturation", counted)
+    q_g = gas_factor * boiler.balance_gas(params, params.p_sp, 0.6)
+    before = count_saturation["calls"]
     boiler.simulate(params, start, boiler.BoilerInputs(q_g, 0.6, 0.6),
                     10.0, 1.0)
-    assert len(calls) == 40    # four RK4 stages per step, ten steps
+    return count_saturation["calls"] - before
+
+
+def test_simulate_calls_saturation_through_the_boiler_binding(
+        count_saturation):
+    # The saturation counter wraps ``boiler.saturation``; a plant kernel
+    # that inlined the fits would leave it reading 0.  From its
+    # equilibrium the boiler's first step leaves the state unchanged, so
+    # ``simulate`` stops after that step's four RK4 stages.
+    assert _set_point_saturation_calls(count_saturation, 1.0) == 4
+
+
+def test_simulate_takes_every_step_while_the_state_moves(count_saturation):
+    # 10 % more gas than the balance: four RK4 stages per step, ten steps
+    assert _set_point_saturation_calls(count_saturation, 1.1) == 40
 
 
 def test_run_loop_calls_the_traced_names_through_scenario(monkeypatch):
