@@ -13,13 +13,18 @@ what makes the bare ``V_T`` pressure-work term in the capacity function
 dimensionally consistent (J/Pa = m3).  The public interface stays in bar
 and kJ/kg to match the parameter tables.
 
-The arithmetic lives once, in the float kernel ``_rates``: from the
-saturation record at ``p`` and the floats ``V_w``, ``q_g``, ``q_f`` and
-``q_s`` it returns the capacity ``phi`` and both rates.  ``simulate``
-runs its RK4 steps on ``p`` and ``V_w`` as bare floats and builds one
-:class:`BoilerState` at the end; :func:`phi` and :func:`derivatives`
-are wrappers over the same kernel.  The validity checks, in the order
-they run at every RK4 stage:
+The arithmetic lives once, in the float kernel
+``_rates(s, V_w, V_T, metal, h_f, burn, q_f, q_s)``: from the
+saturation record ``s`` at ``p``, ``V_w`` and the feed and steam flows
+it returns the capacity ``phi`` and both rates.  ``_constants`` gives
+the arguments that stay fixed while the inputs are held: ``V_T``, the
+metal heat capacity ``metal`` = m_T c_p 1e3 [J/K], ``h_f`` and the
+burner power ``burn`` = eta lambda_lhv 1e3 q_g [W], each in the
+association the kernel once used inline, so every float is unchanged.
+``simulate`` computes them once per call and runs its RK4 steps on
+``p`` and ``V_w`` as bare floats, building one :class:`BoilerState` at
+the end; :func:`phi` and :func:`derivatives` are wrappers over the same
+kernel.  The validity checks, in the order they run at every RK4 stage:
 
 * ``saturation`` rejects a pressure outside [10, 100] bar
   (:class:`~steamfleet.properties.PressureRangeError`);
@@ -104,20 +109,27 @@ class ModelValidityError(RuntimeError):
     """State left the region where the lumped model is meaningful."""
 
 
-def _outside(params, V_w):
-    return ModelValidityError(f"V_w={V_w!r} outside (0, {params.V_T}) m3")
+def _outside(V_T, V_w):
+    return ModelValidityError(f"V_w={V_w!r} outside (0, {V_T}) m3")
 
 
-def _rates(params, s, V_w, q_g, q_f, q_s):
+def _constants(params, q_g):
+    """The per-call arguments of :func:`_rates` after ``V_w``:
+    ``(V_T, metal, h_f, burn)`` for the gas flow ``q_g``."""
+    return (params.V_T, params.m_T * params.c_p * _KJ, params.h_f,
+            params.eta * params.lambda_lhv * _KJ * q_g)
+
+
+def _rates(s, V_w, V_T, metal, h_f, burn, q_f, q_s):
     """The plant kernel: ``(phi, dp/dt, dV_w/dt)`` on bare floats.
 
     ``s`` is the :class:`SaturationPoint` at the pressure; the caller
-    takes it from ``saturation``, which checks the pressure range.  This
-    checks ``0 < V_w < V_T`` and ``phi > 0``, in that order.
+    takes it from ``saturation``, which checks the pressure range.
+    ``V_T`` to ``burn`` come from :func:`_constants`.  This checks
+    ``0 < V_w < V_T`` and ``phi > 0``, in that order.
     """
-    V_T = params.V_T
     if not (0.0 < V_w < V_T):
-        raise _outside(params, V_w)
+        raise _outside(V_T, V_w)
     p, _, rho_w, rho_s, h_w_kj, h_s_kj, dT_s_dp, drho_w_dp, drho_s_dp, \
         dh_w_dp, dh_s_dp = s
     V_s = V_T - V_w
@@ -133,14 +145,14 @@ def _rates(params, s, V_w, q_g, q_f, q_s):
         V_s * (h_s * drho_s + rho_s * dh_s)
         + V_w * (h_w * drho_w + rho_w * dh_w)
         + V_T
-        + params.m_T * params.c_p * _KJ * dT_s
+        + metal * dT_s
         - (drho_w * V_w + drho_s * V_s) * (rho_w * h_w - rho_s * h_s) / drho
     )
     if cap <= 0.0:
         raise ModelValidityError(f"phi={cap!r} <= 0 at p={p!r} bar")
     power = (
-        params.eta * params.lambda_lhv * _KJ * q_g
-        + q_f * (params.h_f - h_w_kj) * _KJ
+        burn
+        + q_f * (h_f - h_w_kj) * _KJ
         - q_s * (h_s_kj - h_w_kj) * _KJ
     )
     dp_dt = power / cap / _BAR
@@ -158,13 +170,14 @@ def phi(params, state, s):
     pressure dynamics to be well posed; raises
     :class:`ModelValidityError` otherwise.
     """
-    return _rates(params, s, state.V_w, 0.0, 0.0, 0.0)[0]
+    return _rates(s, state.V_w, *_constants(params, 0.0), 0.0, 0.0)[0]
 
 
 def derivatives(params, state, inputs):
     """Time derivatives (dp/dt [bar/s], dV_w/dt [m3/s])."""
-    _, dp_dt, dVw_dt = _rates(params, saturation(state.p), state.V_w,
-                              inputs.q_g, inputs.q_f, inputs.q_s)
+    _, dp_dt, dVw_dt = _rates(saturation(state.p), state.V_w,
+                              *_constants(params, inputs.q_g),
+                              inputs.q_f, inputs.q_s)
     return dp_dt, dVw_dt
 
 
@@ -184,25 +197,26 @@ def simulate(params, state, inputs, duration, dt):
     n = round(duration / dt)
     if abs(n * dt - duration) > 1e-9:
         raise ValueError(f"duration {duration} not a multiple of dt {dt}")
-    q_g, q_f, q_s = inputs.q_g, inputs.q_f, inputs.q_s
-    V_T = params.V_T
+    q_f, q_s = inputs.q_f, inputs.q_s
+    V_T, metal, h_f, burn = _constants(params, inputs.q_g)
     half = 0.5 * dt
     sixth = dt / 6.0
     p, V_w = state.p, state.V_w
     for _ in range(n):
-        _, k1p, k1v = _rates(params, saturation(p), V_w, q_g, q_f, q_s)
+        _, k1p, k1v = _rates(saturation(p), V_w,
+                             V_T, metal, h_f, burn, q_f, q_s)
         if k1p == 0.0 and k1v == 0.0:
             break
-        _, k2p, k2v = _rates(params, saturation(p + half * k1p),
-                             V_w + half * k1v, q_g, q_f, q_s)
-        _, k3p, k3v = _rates(params, saturation(p + half * k2p),
-                             V_w + half * k2v, q_g, q_f, q_s)
-        _, k4p, k4v = _rates(params, saturation(p + dt * k3p),
-                             V_w + dt * k3v, q_g, q_f, q_s)
+        _, k2p, k2v = _rates(saturation(p + half * k1p), V_w + half * k1v,
+                             V_T, metal, h_f, burn, q_f, q_s)
+        _, k3p, k3v = _rates(saturation(p + half * k2p), V_w + half * k2v,
+                             V_T, metal, h_f, burn, q_f, q_s)
+        _, k4p, k4v = _rates(saturation(p + dt * k3p), V_w + dt * k3v,
+                             V_T, metal, h_f, burn, q_f, q_s)
         p_next = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         V_next = V_w + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (0.0 < V_next < V_T):
-            raise _outside(params, V_next)
+            raise _outside(V_T, V_next)
         if p_next == p and V_next == V_w:
             break
         p, V_w = p_next, V_next

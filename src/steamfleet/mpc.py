@@ -41,9 +41,17 @@ re-solve a one-iteration solve; one that does not falls back to the
 cold start, so a guess moves the plan only at roundoff.
 ``tests/test_scenario.py`` holds the default run to at most 10 cold
 starts and 200 active-set iterations over its 120 tracking QPs.
+
+The controller also owns the kernel's ``factors`` dict, since H, G and
+A_eq stay fixed for its life: H is checked once, and each working set
+is factored (one SVD and one reduced-Hessian ``eigh``) only the first
+time a solve meets it.  A solve whose guess holds then costs the
+affine products above, one Newton step and one multiplier read from
+stored factors, and the KKT check.  The dict goes with the controller,
+so every rebuild, and every run, factors afresh.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_discrete_are, toeplitz
@@ -175,11 +183,14 @@ class MpcSolution:
 class MpcController:
     """The tracking QP of one share configuration in parametric form.
 
-    Every field is fixed when the controller is built: the QP matrices
-    ``H``, ``G`` and ``A_eq``, and the maps from the measured state
-    ``xi0`` (and ``u_prev``) to the linear term, the right-hand sides
-    and the predicted outputs (module docstring).  The first two rows of
-    ``G`` bound |du_0|.
+    Every field but ``factors`` is fixed when the controller is built:
+    the QP matrices ``H``, ``G`` and ``A_eq``, and the maps from the
+    measured state ``xi0`` (and ``u_prev``) to the linear term, the
+    right-hand sides and the predicted outputs (module docstring).  The
+    first two rows of ``G`` bound |du_0|.  ``factors`` is the QP
+    kernel's cache of the checked ``H`` and of each working set's
+    factors (``solve_qp(..., factors=)``); it fills as solves meet
+    working sets and goes with the controller.
     """
     tube: TubeDesign
     rho: float
@@ -193,6 +204,7 @@ class MpcController:
     b_xi: np.ndarray
     y_rows: np.ndarray
     y_xi: np.ndarray
+    factors: dict = field(default_factory=dict, repr=False)
 
     def solve(self, xi0, u_prev, r, first_move=None, active=None):
         """One receding-horizon step.
@@ -218,7 +230,7 @@ class MpcController:
         f = self.f_xi @ xi0
         f[-1] -= 2.0 * self.rho * r
         res = solve_qp(self.H, f, self.G, h, self.A_eq, self.b_xi @ xi0,
-                       active=active)
+                       active=active, factors=self.factors)
         if res.status != "optimal":
             raise MpcInfeasibleError(
                 f"tracking problem {res.status}",

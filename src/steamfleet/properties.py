@@ -7,7 +7,9 @@ are frozen constants produced by ``scripts/fit_saturation_polynomials.py``;
 derivatives are the exact analytic derivatives of the fitted polynomials,
 so every property curve is smooth and self-consistent by construction.
 ``saturation`` evaluates all ten fits in straight-line Horner form and
-returns them as one :class:`SaturationPoint` named tuple.
+returns them as one :class:`SaturationPoint` named tuple, built by
+``tuple.__new__`` directly rather than through the named tuple's
+Python-level constructor.
 
 Units: pressure in bar, temperature in K, density in kg/m3, specific
 enthalpy in kJ/kg.  Derivatives are per bar.
@@ -126,6 +128,9 @@ class SaturationPoint(NamedTuple):
     dh_s_dp: float
 
 
+_new_tuple = tuple.__new__
+
+
 def saturation(p):
     """Saturation properties at pressure ``p`` in bar.
 
@@ -159,5 +164,5 @@ def saturation(p):
     dh_w = ((((d4 * u + d3) * u + d2) * u + d1) * u + d0) * _DU_DP
     d0, d1, d2, d3, d4 = _D_H_S_C
     dh_s = ((((d4 * u + d3) * u + d2) * u + d1) * u + d0) * _DU_DP
-    return SaturationPoint(p, T_s, rho_w, rho_s, h_w, h_s,
-                           dT_s, drho_w, drho_s, dh_w, dh_s)
+    return _new_tuple(SaturationPoint, (p, T_s, rho_w, rho_s, h_w, h_s,
+                                        dT_s, drho_w, drho_s, dh_w, dh_s))

@@ -25,12 +25,21 @@ there with that working set and often only reads the multipliers.  Any
 other guess falls back to the cold start unchanged, so a guess can
 cost time but never the answer.
 
-Each working set is factored once by a plain SVD (``numpy.linalg.svd``,
+Each working set is factored by a plain SVD (``numpy.linalg.svd``,
 with the rank rule of ``scipy.linalg.null_space``), which yields both
-the null-space basis and the least-squares multipliers; the factors are
-kept until the working set changes.  Both ratio tests, along the Newton
-step and along a flat ray, take one matrix-vector product over the rows
-outside the working set, with the tie rules below unchanged.
+the null-space basis and the least-squares multipliers.  The factors of
+a working set depend only on H, G, A and the set, so the kernel keeps
+them in a dict keyed by the sorted row tuple, next to the checked,
+symmetrised H.  A caller that solves many QPs with the same H, G and A
+(a parametric QP whose f, h and b move) hands one such dict to every
+solve (``factors``): H is then checked once and each working
+set factored once for the life of the dict, not once per solve.  The
+dict is keyed on the content of H, G and A, so handing it other
+matrices, or a G changed in place, clears it rather than reuse a stale
+factor.  Without a dict each solve keeps its own for its iterations.
+Both ratio tests, along the Newton step and along a flat ray, take one
+matrix-vector product over the rows outside the working set, with the
+tie rules below unchanged.
 
 Everything is deliberately boring: dense algebra, fixed tie-breaking
 (most-blocking constraint first, lowest index on ties), no randomness,
@@ -167,25 +176,46 @@ def _basis(H, M):
     return Ur, Vr, N @ V, w_step, flat
 
 
-def _least_norm(H, M, rhs):
-    """Least-norm solution of ``M x = rhs`` with the :func:`_basis`
-    factors of ``M``: (x, basis), or None when the rows are inconsistent,
-    their residual above 1e-8 * max(1, |rhs|_inf)."""
-    basis = _basis(H, M)
+def _working_basis(H, A, G, work, bases):
+    """The :func:`_basis` factors of the sorted working set ``work``,
+    read from the dict ``bases`` or computed and stored there."""
+    key = tuple(work)
+    basis = bases.get(key)
+    if basis is None:
+        basis = bases[key] = _basis(H, _held(A, G, work))
+    return basis
+
+
+def _cached(factors, H, G, A):
+    """``factors`` holding the checked, symmetrised H under "H", for
+    these H, G and A: a dict last filled for other content is cleared
+    first, so no factor outlives the matrices it was taken from."""
+    key = tuple((M.shape, M.tobytes()) for M in (H, G, A))
+    if factors.get("key") != key:
+        Hs = _check_hessian(H)
+        factors.clear()
+        factors.update(key=key, H=Hs)
+    return factors
+
+
+def _least_norm(M, rhs, basis):
+    """Least-norm solution x of ``M x = rhs`` from the :func:`_basis`
+    factors of ``M``, or None when the rows are inconsistent, their
+    residual above 1e-8 * max(1, |rhs|_inf)."""
     Ur, Vr = basis[:2]
     x = Vr.T @ (Ur.T @ rhs)
     scale_rhs = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if float(np.abs(M @ x - rhs).max(initial=0.0)) > 1e-8 * scale_rhs:
         return None
-    return x, basis
+    return x
 
 
-def _active_set(H, f, G, h, A, b, x, work, basis=None):
+def _active_set(H, f, G, h, A, b, x, work, bases):
     """Iterate from a feasible ``x`` with starting working set ``work``.
 
-    ``basis`` optionally hands over the :func:`_basis` factors of
-    ``work``.  The budget is 50 iterations per variable and row, plus
-    250.  Returns (status, x, lam_full, nu, active, iterations).
+    ``bases`` is the dict of :func:`_working_basis` factors, which this
+    reads and fills.  The budget is 50 iterations per variable and row,
+    plus 250.  Returns (status, x, lam_full, nu, active, iterations).
     """
     n = x.size
     m = G.shape[0]
@@ -196,10 +226,11 @@ def _active_set(H, f, G, h, A, b, x, work, basis=None):
     free[work] = False
     scale = max(1.0, float(np.abs(H).max()), float(np.abs(f).max(initial=0.0)))
     step_tol = 1e-11 * scale
+    basis = None
     for it in range(1, max_iter + 1):
         if basis is None:
-            # factors of the working set, rebuilt only when it changes
-            basis = _basis(H, _held(A, G, work))
+            # factors of the working set, looked up only when it changes
+            basis = _working_basis(H, A, G, work, bases)
         Ur, Vr, NV, w_step, flat = basis
         g = H @ x + f
         ray = None
@@ -244,21 +275,20 @@ def _active_set(H, f, G, h, A, b, x, work, basis=None):
     raise NumericalFailureError(f"no convergence in {max_iter} iterations")
 
 
-def _initial_point(H, G, h, A, b):
+def _initial_point(H, G, h, A, b, bases):
     """Cold start: the least-norm point of the equalities, moved by a
     slack phase 1 if it violates a row of G.
 
-    Returns (x0, basis) with the :func:`_basis` factors of the empty
-    working set, or None when the problem is infeasible.
+    Returns x0, or None when the problem is infeasible.  The factors of
+    the empty working set go to ``bases``; phase 1 keeps its own.
     """
-    start = _least_norm(H, A, b)
-    if start is None:
+    x0 = _least_norm(A, b, _working_basis(H, A, G, [], bases))
+    if x0 is None:
         return None
-    x0, basis = start
     viol = float((G @ x0 - h).max(initial=0.0))
     scale_h = max(1.0, float(np.abs(h).max(initial=0.0)))
     if viol <= _TOL * scale_h:
-        return start
+        return x0
     # slack problem: min t^2  s.t.  Gx - t <= h, t >= 0.  The kernel's
     # flat-direction handling covers the x block's zero curvature, and
     # the unregularized optimum reaches the true minimal slack, so a
@@ -272,27 +302,28 @@ def _initial_point(H, G, h, A, b):
     hp = np.concatenate([h, [0.0]])
     Ap = np.hstack([A, np.zeros((A.shape[0], 1))])
     z0 = np.concatenate([x0, [viol * (1 + 1e-6) + 1e-9]])
-    status, z, *_ = _active_set(Hp, fp, Gp, hp, Ap, b, z0, [])
+    status, z, *_ = _active_set(Hp, fp, Gp, hp, Ap, b, z0, [], {})
     if status != "optimal":
         raise NumericalFailureError(f"phase 1 ended {status}")
     if float(z[n]) > 1e-7 * scale_h:
         return None
-    return z[:n], basis
+    return z[:n]
 
 
-def _warm_start(H, f, G, h, A, b, work):
+def _warm_start(H, f, G, h, A, b, work, bases):
     """Minimizer of the QP with the rows ``work`` of G held as equalities.
 
     Takes the :func:`_least_norm` point of [A; G[work]] and a Newton
-    step to the minimizer in its null space.  Returns (x, basis) for
+    step to the minimizer in its null space, with the factors of
+    ``work`` from the dict ``bases``.  Returns x for
     :func:`_active_set`, or None when the rows are inconsistent, the
     reduced Hessian has a flat direction, or another row of G is
     violated by more than ``_TOL * scale_h``.
     """
-    start = _least_norm(H, _held(A, G, work), _held(b, h, work))
-    if start is None:
+    basis = _working_basis(H, A, G, work, bases)
+    x = _least_norm(_held(A, G, work), _held(b, h, work), basis)
+    if x is None:
         return None
-    x, basis = start
     NV, w_step, flat = basis[2:]
     if flat.size:
         return None
@@ -302,10 +333,11 @@ def _warm_start(H, f, G, h, A, b, work):
     scale_h = max(1.0, float(np.abs(h).max(initial=0.0)))
     if float((G @ x - h)[free].max(initial=0.0)) > _TOL * scale_h:
         return None
-    return x, basis
+    return x
 
 
-def solve_qp(H, f, G=None, h=None, A=None, b=None, *, active=None):
+def solve_qp(H, f, G=None, h=None, A=None, b=None, *, active=None,
+             factors=None):
     """Solve the QP; statuses are "optimal", "infeasible", "unbounded".
 
     An absent ``G``/``h`` or ``A``/``b`` is an empty block; a matrix
@@ -318,34 +350,45 @@ def solve_qp(H, f, G=None, h=None, A=None, b=None, *, active=None):
     phase-1 point.  The result does not depend on the guess beyond
     roundoff and, where optima are not unique, the choice among them.
 
+    ``factors`` is an optional dict the kernel owns: it keeps the
+    checked Hessian and the factors of every working set the solves
+    meet, keyed on the content of H, G and A, and is cleared whenever
+    a solve brings other content.  Handing one dict to every solve of
+    a parametric QP checks H once and factors each working set once
+    for the life of the dict; the results are bit-identical to solves
+    without it.  None gives each solve a dict of its own.
+
     Optimal results carry multipliers and a KKT residual; the residual
     is also re-checked against 1e-8 so a silently bad solve cannot be
     mistaken for success.
     """
-    H = _check_hessian(np.asarray(H, dtype=float))
+    H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float).ravel()
     n = f.size
-    if H.shape[0] != n:
-        raise ValueError("H and f sizes differ")
     work = [] if active is None else sorted(operator.index(i) for i in active)
     if work and G is None:
         raise ValueError("a working-set guess needs inequality rows G")
     G, h = _block(G, h, n, "G", "h")
     A, b = _block(A, b, n, "A", "b")
+    factors = _cached({} if factors is None else factors, H, G, A)
+    H = factors["H"]
+    if H.shape[0] != n:
+        raise ValueError("H and f sizes differ")
     m = G.shape[0]
     if len(set(work)) != len(work):
         raise ValueError("working-set guess repeats a row")
     if work and not 0 <= work[0] <= work[-1] < m:
         raise ValueError(f"working-set guess outside rows 0..{m - 1}")
 
-    start = None if active is None else _warm_start(H, f, G, h, A, b, work)
-    if start is None:
-        start, work = _initial_point(H, G, h, A, b), []
-        if start is None:
+    x0 = None
+    if active is not None:
+        x0 = _warm_start(H, f, G, h, A, b, work, factors)
+    if x0 is None:
+        x0, work = _initial_point(H, G, h, A, b, factors), []
+        if x0 is None:
             return QpResult("infeasible", None, None, None, None, (), 0, None)
-    x0, basis = start
     status, x, lam, nu, active, it = _active_set(
-        H, f, G, h, A, b, x0, work, basis)
+        H, f, G, h, A, b, x0, work, factors)
     if status != "optimal":
         return QpResult(status, None, None, None, None, active, it, None)
     res = _kkt_residual(H, f, G, h, A, b, x, lam, nu)

@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from steamfleet import mpc, qp
 from steamfleet.config import GlobalSets, MpcConfig
 from steamfleet.ensemble import EnsembleModel, make_reference
 from steamfleet.highlevel import StationData
@@ -327,6 +328,62 @@ def test_warm_started_solves_match_cold_ones():
         x_prev, x = x, A2 @ x + B2.reshape(-1) * cold.u_cmd
         u = cold.u_cmd
     assert n_warm >= 12
+
+
+def test_controller_factors_leave_every_solve_bit_identical(monkeypatch):
+    # A chain of warm-started solves with a moving target and two
+    # rebuilds.  Every tracking QP is solved twice: with the
+    # controller's factors, as the controller does, and with none.
+    factor_calls = []
+    factor = qp._factor
+
+    def counted_factor(*args):
+        factor_calls.append(1)
+        return factor(*args)
+
+    pairs = []
+
+    def both(*args, active=None, factors=None):
+        before = len(factor_calls)
+        cached = qp.solve_qp(*args, active=active, factors=factors)
+        middle = len(factor_calls)
+        fresh = qp.solve_qp(*args, active=active)
+        pairs.append((cached, fresh, middle - before,
+                      len(factor_calls) - middle))
+        return cached
+
+    monkeypatch.setattr(qp, "_factor", counted_factor)
+    monkeypatch.setattr(mpc, "solve_qp", both)
+    shares = [([wide_station()], [1.0], 0.5, 0.02),
+              ([wide_station(), wide_station()], [0.3, 0.7], 0.3, 0.01),
+              ([wide_station()], [1.0], 0.5, 0.02)]
+    x = np.linalg.solve(np.eye(2) - A2, B2).reshape(-1)
+    x_prev, u = x.copy(), 1.0
+    for stations, alpha, delta_u, w_inf in shares:
+        sets = GlobalSets(u_min=0.05, u_max=6.0, y_min=0.0, y_max=6.0,
+                          delta_u=delta_u)
+        ctrl = build_controller(two_state_model(), stations, alpha, sets,
+                                w_inf, MpcConfig())
+        prev = None
+        for k in range(20):
+            r = 2.2 + 1.1 * np.sin(0.4 * k) + 0.3 * (k % 3)
+            xi0 = np.concatenate([x - x_prev, [float(C2 @ x) + GAMMA2]])
+            sol = ctrl.solve(xi0, u, r, first_move=0.07 if k == 0 else None,
+                             active=None if prev is None else prev.active)
+            prev = sol
+            x_prev, x = x, A2 @ x + B2.reshape(-1) * sol.u_cmd
+            u = sol.u_cmd
+    assert len(pairs) == 60
+    for k, (cached, fresh, *_) in enumerate(pairs):
+        assert cached.status == fresh.status == "optimal", k
+        assert np.array_equal(cached.x, fresh.x), k
+        assert cached.active == fresh.active, k
+        assert cached.iterations == fresh.iterations, k
+        assert cached.obj == fresh.obj, k
+    # a controller factors a working set only on first meeting it; the
+    # phase-1 problems of cold starts still factor theirs every time
+    cached_calls, fresh_calls = np.sum([p[2:] for p in pairs], axis=0)
+    assert cached_calls < 0.8 * fresh_calls
 
 
 # closed loop, certified disturbances ------------------------------------

@@ -423,9 +423,9 @@ def test_flat_reduced_hessian_rejects_the_guess():
     h = np.ones(4)
     A, b = np.zeros((0, 2)), np.zeros(0)      # no equality rows
     assert _warm_start(np.zeros((2, 2)), np.array([-1.0, -2.0]), G, h,
-                       A, b, [0]) is None
-    x, _ = _warm_start(np.zeros((2, 2)), np.array([-1.0, -2.0]), G, h,
-                       A, b, [0, 1])
+                       A, b, [0], {}) is None
+    x = _warm_start(np.zeros((2, 2)), np.array([-1.0, -2.0]), G, h,
+                    A, b, [0, 1], {})
     assert x == pytest.approx([1.0, 1.0])
     res = solve_qp(np.zeros((2, 2)), [-1.0, -2.0], G, h, active=[0])
     assert res.x == pytest.approx([1.0, 1.0])
@@ -441,3 +441,41 @@ def test_rejects_a_malformed_guess(G, active, match):
     h = None if G is None else np.ones(G.shape[0])
     with pytest.raises(ValueError, match=match):
         solve_qp(np.eye(2), [0.0, 0.0], G, h, active=active)
+
+
+# factors kept across solves -----------------------------------------------
+
+def assert_same_result(res, fresh):
+    assert res.status == fresh.status
+    assert np.array_equal(res.x, fresh.x)
+    assert res.active == fresh.active
+    assert res.iterations == fresh.iterations
+    assert res.obj == fresh.obj
+
+
+def test_factors_never_outlive_the_matrices_they_came_from():
+    # Each solve holds row 0 as its guess.  A dict that reused the
+    # factors of that working set for a changed G would step along the
+    # old row's null space and end at a wrong point.
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    h = np.ones(4)
+    f = np.array([-3.0, 0.5])
+    factors = {}
+    first = solve_qp(np.eye(2), f, G, h, active=[0], factors=factors)
+    assert first.x == pytest.approx([1.0, -0.5])
+    G[0] = [1.0, 1.0]                   # in place: x1 + x2 <= 1
+    rng = np.random.default_rng(17)
+    others = [(np.eye(2), f, G, h)]
+    for _ in range(10):                 # another controller's matrices
+        H2, f2, G2, h2, _, _ = random_problem(rng)
+        if G2.shape[1] == 2:
+            others.append((H2, f2, G2, h2))
+    assert len(others) >= 3
+    for args in others:
+        res = solve_qp(*args, active=[0], factors=factors)
+        assert_same_result(res, solve_qp(*args, active=[0]))
+        assert res.status == "optimal"
+    # the Hessian is checked again for new content, not taken as read
+    with pytest.raises(ValueError, match="semidefinite"):
+        solve_qp(np.diag([1.0, -1.0]), f, G, h, factors=factors)
+

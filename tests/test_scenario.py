@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from steamfleet import highlevel, mpc, scenario
+from steamfleet import highlevel, mpc, qp, scenario
 from steamfleet.config import ConfigError, IdentConfig, default_config
 from steamfleet.ensemble import estimate_disturbance_bound, make_reference
 from steamfleet.lowlevel import init_station, station_step
@@ -151,6 +151,27 @@ def test_dispatch_solves_start_from_the_last_working_sets(count_qp_starts):
     assert calls["solves"] == 32
     assert calls["cold"] <= 12          # 10 at seed 2214, 1 of them the first
     assert calls["iters"] <= 120        # 107 at seed 2214
+
+
+def test_each_run_pays_its_own_factorizations(default_run, monkeypatch):
+    # A tracking controller keeps the factors of every working set it
+    # meets for its life; no factor survives it into the next run.
+    calls = []
+    factor = qp._factor
+
+    def counted(*args):
+        calls.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(qp, "_factor", counted)
+    per_run = []
+    for _ in range(2):
+        before = len(calls)
+        report = run_scenario(BASE, idents=default_run.idents)
+        assert report.violations == []
+        per_run.append(len(calls) - before)
+    # 156 per run at seed 2214; 274 when every solve factored afresh
+    assert per_run[0] == per_run[1] <= 170
 
 
 def test_loop_stops_integrating_boilers_that_hold_still(default_run,
