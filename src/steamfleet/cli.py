@@ -18,7 +18,11 @@ from .sysid import IdentifiabilityError, ModelQualityError
 
 
 def _read_config(path):
-    return from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return from_json(text)
 
 
 def _cmd_identify(args):

@@ -272,8 +272,11 @@ def _tuple_of(cls, items):
 def from_json(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("JSON nested too deeply to parse") from exc
     if not isinstance(doc, dict) or doc.get("version") != CONFIG_VERSION:
         raise ConfigError(f"expected a version {CONFIG_VERSION} document")
     raw = doc.get("scenario")

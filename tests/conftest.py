@@ -5,6 +5,9 @@ that reads its report, and once more, fresh, for the tests that check
 a rerun reproduces it.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from steamfleet import boiler, qp
@@ -20,6 +23,17 @@ def default_run():
 @pytest.fixture(scope="session")
 def default_rerun():
     return run_scenario(default_config())
+
+
+@pytest.fixture(scope="session")
+def workload_config():
+    """``workload_config(name, seed=2214)``: the benchmark's workload
+    ``name`` (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return lambda name, seed=2214: module.WORKLOADS[name](seed)
 
 
 @pytest.fixture
@@ -59,8 +73,9 @@ def count_qp_starts(monkeypatch):
 @pytest.fixture
 def count_saturation(monkeypatch):
     """Counter of the plant's property evaluations: the dict's "calls"
-    grows each time ``boiler.saturation`` runs, four times per RK4 step
-    the plant takes."""
+    grows each time ``boiler.saturation`` runs, once per RK4 stage the
+    plant evaluates (a stage that repeats the input of the stage before
+    it reuses that stage's rates and is not counted)."""
     calls = {"calls": 0}
     original = boiler.saturation
 

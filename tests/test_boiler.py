@@ -232,6 +232,24 @@ def test_simulate_equals_rk4_that_runs_every_step(call):
             == _outcome(_every_step, b, state, inputs, n, 1.0))
 
 
+@pytest.mark.parametrize("b", default_fleet(),
+                         ids=[f"boiler{i + 1}" for i in range(5)])
+def test_balanced_equilibrium_evaluates_one_stage(b, count_saturation):
+    # At the set-point and top steam draw, with the gas that balances
+    # it, the rates are not both 0 but too small to move p or V_w.
+    # Every later stage repeats the first stage's input and reuses its
+    # rates, so one stage is evaluated where n steps of four would be.
+    n = 60
+    state = BoilerState(b.p_sp, 0.5 * b.V_T)
+    inputs = BoilerInputs(balance_gas(b, b.p_sp, b.q_s_max),
+                          b.q_s_max, b.q_s_max)
+    assert derivatives(b, state, inputs) != (0.0, 0.0)
+    expected = _outcome(_every_step, b, state, inputs, n, 1.0)
+    before = count_saturation["calls"]
+    assert _outcome(_simulate, b, state, inputs, n, 1.0) == expected
+    assert count_saturation["calls"] - before == 1
+
+
 @pytest.mark.parametrize("state, inputs, n", [
     (BoilerState(0.5 * P_MIN, MID.V_w), BoilerInputs(0.0, 0.0, 0.0), 10),
     (BoilerState(57.0, 1.01 * B1.V_T), BoilerInputs(0.0, 0.0, 0.0), 10),

@@ -149,6 +149,22 @@ def test_missing_file_is_an_error(tmp_path):
     assert cli.main(["validate-config", str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize("content", [
+    b'{"version": 1, "scenario": "\xff"}', b"[" * 100_000 + b"]" * 100_000,
+    b'{"version": 1, "scenario": ' + b"1" * 5_000 + b"}",
+], ids=["not_utf8", "nested_too_deeply", "integer_too_long"])
+@pytest.mark.parametrize("command", ["validate-config", "identify"])
+def test_unreadable_config_is_an_error(tmp_path, capsys, content, command):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    argv = ([command, str(path)] if command == "validate-config" else
+            [command, "--config", str(path), "--out", str(tmp_path / "m")])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_one():
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["run"]) == 1    # neither --config nor --default-scenario

@@ -2,10 +2,8 @@
 against exhaustive enumeration of the pattern QPs."""
 
 import dataclasses
-import importlib.util
 import random
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,19 +450,10 @@ def assert_matches_exhaustive(sol, stations, demand, sets, cfg, previous):
     assert sol.flows == pytest.approx(flows, rel=0, abs=1e-12), demand
 
 
-def workload_config(name, seed=2214):
-    """The benchmark's workload ``name`` (``perfbench/workloads.py``)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS[name](seed)
-
-
 @pytest.mark.parametrize("workload, n_solves", [("default", 25),
                                                 ("long_hold", 4)])
 def test_pruned_dispatch_matches_exhaustive_on_the_workloads(
-        workload, n_solves, default_run, monkeypatch):
+        workload, n_solves, default_run, monkeypatch, workload_config):
     solves = []
 
     def recorded(*args, previous=None):

@@ -72,9 +72,10 @@ def test_simulate_calls_saturation_through_the_boiler_binding(
         count_saturation):
     # The saturation counter wraps ``boiler.saturation``; a plant kernel
     # that inlined the fits would leave it reading 0.  From its
-    # equilibrium the boiler's first step leaves the state unchanged, so
-    # ``simulate`` stops after that step's four RK4 stages.
-    assert _set_point_saturation_calls(count_saturation, 1.0) == 4
+    # equilibrium the boiler's first stage does not move the state, so
+    # stages 2-4 repeat its input and reuse its rates, and ``simulate``
+    # stops after that one evaluated stage.
+    assert _set_point_saturation_calls(count_saturation, 1.0) == 1
 
 
 def test_simulate_takes_every_step_while_the_state_moves(count_saturation):
