@@ -14,11 +14,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from steamfleet.config import default_fleet
+from steamfleet.config import TimingConfig, default_fleet
 from steamfleet.lowlevel import (PIConfig, init_station, run_station,
                                  settling_time)
 
-TAU, DT = 10.0, 1.0
+TAU, DT = TimingConfig().tau, TimingConfig().dt
 
 
 def step_response(params, cfg_r, cfg_c, q0=0.5, dq=0.2, horizon=600.0):

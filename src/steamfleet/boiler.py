@@ -33,25 +33,6 @@ kernel.  The validity checks, in the order they run at every RK4 stage:
 
 After each step ``simulate`` checks ``V_w`` again; the end pressure is
 checked by the next stage that reads it.
-
-``simulate`` keeps the input ``(p, V_w)`` and the rates of the last
-stage it evaluated.  A stage whose input equals that one (``==``),
-later in the same step or first in the next, reuses those rates
-instead of calling ``saturation`` and ``_rates`` again.  A boiler that
-holds its state often has stage inputs ``p + dt/2 * k`` that round to
-the stage before.  The kernel depends on its input alone, so the
-reused rates are the floats it would return; and the input has passed
-every check above, so no check that could raise is skipped and errors
-come in the same order.  (Equal floats that pass the checks are equal
-bits: ``-0.0 == 0.0`` and NaN fail them.)
-
-``simulate`` stops stepping once a step leaves ``p`` and ``V_w``
-unchanged (``==``).  The inputs are held, so every later step would
-repeat that step exactly, and the state it returns has passed every
-check above.  Rates that are both 0 need no rule of their own: stages
-2-4 then repeat stage 1's input, the step leaves the state unchanged,
-and the loop ends after one evaluated stage.  The result is
-bit-identical to running all the steps and evaluating every stage.
 """
 
 from dataclasses import dataclass
@@ -201,14 +182,6 @@ def simulate(params, state, inputs, duration, dt):
 
     Each step checks, in order: the pressure range and then ``V_w`` and
     ``phi`` at each of its four stages, then ``V_w`` at the step's end.
-    A stage whose input equals (``==``) that of the last stage
-    evaluated, in this step or the one before, reuses its rates: that
-    input has passed the checks already, so their order is unchanged.
-    The loop ends early at a step that leaves ``p`` and ``V_w``
-    unchanged: with the inputs held, each later step would repeat it,
-    so the state is returned as it stands, bit for bit what the
-    remaining steps would give.  Rates that are both 0 end it after
-    one evaluated stage, since stages 2-4 reuse stage 1.
     """
     n = round(duration / dt)
     if abs(n * dt - duration) > 1e-9:
@@ -218,38 +191,19 @@ def simulate(params, state, inputs, duration, dt):
     half = 0.5 * dt
     sixth = dt / 6.0
     p, V_w = state.p, state.V_w
-    # input (sp, sv) and rates (kp, kv) of the last stage evaluated
-    sp = sv = None
     for _ in range(n):
-        if p != sp or V_w != sv:
-            sp, sv = p, V_w
-            _, kp, kv = _rates(saturation(sp), sv,
-                               V_T, metal, h_f, burn, q_f, q_s)
-        k1p, k1v = kp, kv
-        x, y = p + half * k1p, V_w + half * k1v
-        if x != sp or y != sv:
-            sp, sv = x, y
-            _, kp, kv = _rates(saturation(sp), sv,
-                               V_T, metal, h_f, burn, q_f, q_s)
-        k2p, k2v = kp, kv
-        x, y = p + half * k2p, V_w + half * k2v
-        if x != sp or y != sv:
-            sp, sv = x, y
-            _, kp, kv = _rates(saturation(sp), sv,
-                               V_T, metal, h_f, burn, q_f, q_s)
-        k3p, k3v = kp, kv
-        x, y = p + dt * k3p, V_w + dt * k3v
-        if x != sp or y != sv:
-            sp, sv = x, y
-            _, kp, kv = _rates(saturation(sp), sv,
-                               V_T, metal, h_f, burn, q_f, q_s)
-        p_next = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + kp)
-        V_next = V_w + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + kv)
-        if not (0.0 < V_next < V_T):
-            raise _outside(V_T, V_next)
-        if p_next == p and V_next == V_w:
-            break
-        p, V_w = p_next, V_next
+        _, k1p, k1v = _rates(saturation(p), V_w,
+                             V_T, metal, h_f, burn, q_f, q_s)
+        _, k2p, k2v = _rates(saturation(p + half * k1p), V_w + half * k1v,
+                             V_T, metal, h_f, burn, q_f, q_s)
+        _, k3p, k3v = _rates(saturation(p + half * k2p), V_w + half * k2v,
+                             V_T, metal, h_f, burn, q_f, q_s)
+        _, k4p, k4v = _rates(saturation(p + dt * k3p), V_w + dt * k3v,
+                             V_T, metal, h_f, burn, q_f, q_s)
+        p = p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        V_w = V_w + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (0.0 < V_w < V_T):
+            raise _outside(V_T, V_w)
     return BoilerState(p, V_w)
 
 

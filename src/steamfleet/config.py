@@ -42,7 +42,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TimingConfig:
-    dt: float = 1.0          # integration step, s
+    # RK4 step, s; tests/test_step_budget.py bounds its error against a
+    # step ten times finer
+    dt: float = 5.0
     tau: float = 10.0        # fast control period, s
     nu: int = 3              # slow period = nu * tau
     duration: float = 3600.0

@@ -73,9 +73,8 @@ def count_qp_starts(monkeypatch):
 @pytest.fixture
 def count_saturation(monkeypatch):
     """Counter of the plant's property evaluations: the dict's "calls"
-    grows each time ``boiler.saturation`` runs, once per RK4 stage the
-    plant evaluates (a stage that repeats the input of the stage before
-    it reuses that stage's rates and is not counted)."""
+    grows each time ``boiler.saturation`` runs, once per RK4 stage, so
+    four times per step that ``simulate`` takes."""
     calls = {"calls": 0}
     original = boiler.saturation
 

@@ -174,31 +174,45 @@ def test_each_run_pays_its_own_factorizations(default_run, monkeypatch):
     assert per_run[0] == per_run[1] <= 170
 
 
-def test_loop_stops_integrating_boilers_that_hold_still(default_run,
-                                                        count_saturation):
-    # idle stations and held steady states stop after the first RK4
-    # step that leaves their state unchanged
+def _loop_saturation_calls(cfg):
+    # four stages per RK4 step of every boiler in every fast period, plus
+    # the balance_gas call that sets each boiler's initial state
+    t = cfg.timing
+    return 4 * round(t.duration / t.dt) * len(cfg.boilers) + len(cfg.boilers)
+
+
+def test_default_loop_takes_every_rk4_step(default_run, count_saturation):
+    # 14 405 at seed 2214
     report = run_scenario(BASE, idents=default_run.idents)
     assert report.violations == []
-    # 38 158 at seed 2214; 72 005 when every step of every boiler ran
-    assert count_saturation["calls"] <= 45_000
+    assert count_saturation["calls"] == _loop_saturation_calls(BASE)
 
 
-def test_identification_reuses_repeated_rk4_stages(count_saturation):
-    # a stage whose input equals the stage before it is not evaluated:
-    # 114 305 at seed 2214; 140 894 when every stage was
-    run_identification(BASE)
-    assert count_saturation["calls"] <= 118_000
-
-
-def test_held_demand_loop_reuses_repeated_rk4_stages(
+def test_held_demand_loop_takes_every_rk4_step(
         default_run, count_saturation, workload_config):
-    # stations holding their share barely move, so many stage inputs
-    # repeat: 53 905 at seed 2214; 93 385 when every stage was evaluated
-    report = run_scenario(workload_config("long_hold"),
-                          idents=default_run.idents)
+    # 57 605 at seed 2214
+    cfg = workload_config("long_hold")
+    report = run_scenario(cfg, idents=default_run.idents)
     assert report.violations == []
-    assert count_saturation["calls"] <= 56_000
+    assert count_saturation["calls"] == _loop_saturation_calls(cfg)
+
+
+def test_identification_takes_every_rk4_step(count_saturation, monkeypatch):
+    # four stages per RK4 step of every excitation period, plus the two
+    # balance_gas calls of each experiment (its steam-to-gas scale and
+    # its initial state): 30 570 at seed 2214
+    periods = []
+    run_station = scenario.run_station
+
+    def counted(*args):
+        periods.append(len(args[4]))
+        return run_station(*args)
+
+    monkeypatch.setattr(scenario, "run_station", counted)
+    run_identification(BASE)
+    steps = round(BASE.timing.tau / BASE.timing.dt) * sum(periods)
+    assert len(periods) == len(BASE.boilers)
+    assert count_saturation["calls"] == 4 * steps + 2 * len(BASE.boilers)
 
 
 def test_template_failure_names_the_boilers():
