@@ -33,6 +33,11 @@ kernel.  The validity checks, in the order they run at every RK4 stage:
 
 After each step ``simulate`` checks ``V_w`` again; the end pressure is
 checked by the next stage that reads it.
+
+``simulate`` holds the state once a step's first stage returns exactly
+zero rates, as an unlit boiler with gas, feed and steam all 0 does: that
+stage maps its input to itself, so every later stage and step would
+repeat it bit for bit, and it has already run every check they would.
 """
 
 from dataclasses import dataclass
@@ -182,6 +187,9 @@ def simulate(params, state, inputs, duration, dt):
 
     Each step checks, in order: the pressure range and then ``V_w`` and
     ``phi`` at each of its four stages, then ``V_w`` at the step's end.
+    A step whose first stage returns rates of exactly 0 ends the loop:
+    its later stages read the same input, so it and every step after it
+    would leave ``(p, V_w)`` unchanged and raise nothing new.
     """
     n = round(duration / dt)
     if abs(n * dt - duration) > 1e-9:
@@ -194,6 +202,8 @@ def simulate(params, state, inputs, duration, dt):
     for _ in range(n):
         _, k1p, k1v = _rates(saturation(p), V_w,
                              V_T, metal, h_f, burn, q_f, q_s)
+        if k1p == 0.0 and k1v == 0.0:
+            break
         _, k2p, k2v = _rates(saturation(p + half * k1p), V_w + half * k1v,
                              V_T, metal, h_f, burn, q_f, q_s)
         _, k3p, k3v = _rates(saturation(p + half * k2p), V_w + half * k2v,

@@ -73,8 +73,9 @@ def count_qp_starts(monkeypatch):
 @pytest.fixture
 def count_saturation(monkeypatch):
     """Counter of the plant's property evaluations: the dict's "calls"
-    grows each time ``boiler.saturation`` runs, once per RK4 stage, so
-    four times per step that ``simulate`` takes."""
+    grows each time ``boiler.saturation`` runs, once per evaluated RK4
+    stage: four times per step that ``simulate`` takes, or once for a
+    call it holds at zero rates."""
     calls = {"calls": 0}
     original = boiler.saturation
 

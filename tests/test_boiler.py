@@ -169,6 +169,22 @@ def test_static_gain_chain():
             (s.h_s - b.h_f) / (b.eta * b.lambda_lhv), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 60])
+def test_idle_simulate_evaluates_one_stage(count_saturation, n):
+    # zero rates leave every stage at its input: the first stage is the
+    # only one evaluated and the state comes back unchanged
+    for b in default_fleet():
+        start = BoilerState(b.p_sp, 0.5 * b.V_T)
+        before = count_saturation["calls"]
+        end = simulate(b, start, BoilerInputs(0.0, 0.0, 0.0), n * 1.0, 1.0)
+        assert count_saturation["calls"] - before == 1
+        assert end == start
+    # a state that moves still takes four stages per step
+    before = count_saturation["calls"]
+    simulate(B1, MID, BoilerInputs(q_g=0.4, q_f=0.55, q_s=0.6), n * 1.0, 1.0)
+    assert count_saturation["calls"] - before == 4 * n
+
+
 def _every_step(params, state, inputs, n, dt):
     # RK4 that runs all ``n`` steps, with simulate's arithmetic and checks
     p, V_w = state.p, state.V_w
@@ -218,7 +234,7 @@ def _plant_calls(draw):
         inputs = BoilerInputs(draw(st.floats(0.0, b.q_g_max)),
                               draw(st.floats(0.0, b.q_s_max)),
                               draw(st.floats(0.0, b.q_s_max)))
-    n = draw(st.sampled_from([0, 1, 10, 60]))
+    n = draw(st.sampled_from([0, 1, 2, 10, 60]))
     return b, BoilerState(p, V_w), inputs, n
 
 

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from steamfleet import highlevel, mpc, qp, scenario
+from steamfleet import (boiler, highlevel, lowlevel, mpc, properties, qp,
+                        scenario)
 from steamfleet.config import ConfigError, IdentConfig, default_config
 from steamfleet.ensemble import estimate_disturbance_bound, make_reference
 from steamfleet.lowlevel import init_station, station_step
@@ -174,45 +175,73 @@ def test_each_run_pays_its_own_factorizations(default_run, monkeypatch):
     assert per_run[0] == per_run[1] <= 170
 
 
-def _loop_saturation_calls(cfg):
-    # four stages per RK4 step of every boiler in every fast period, plus
-    # the balance_gas call that sets each boiler's initial state
-    t = cfg.timing
-    return 4 * round(t.duration / t.dt) * len(cfg.boilers) + len(cfg.boilers)
+@pytest.fixture
+def plant_calls(monkeypatch):
+    """The ``simulate`` calls a run makes, as (params, state, inputs,
+    steps) in call order."""
+    calls = []
+    simulate = lowlevel.simulate
+
+    def recorded(params, state, inputs, duration, dt):
+        calls.append((params, state, inputs, round(duration / dt)))
+        return simulate(params, state, inputs, duration, dt)
+
+    monkeypatch.setattr(lowlevel, "simulate", recorded)
+    return calls
 
 
-def test_default_loop_takes_every_rk4_step(default_run, count_saturation):
-    # 14 405 at seed 2214
+def _held(params, state, inputs):
+    # whether simulate's first stage returns exactly zero rates; it reads
+    # properties.saturation, outside the counted boiler binding
+    _, dp, dv = boiler._rates(properties.saturation(state.p), state.V_w,
+                              *boiler._constants(params, inputs.q_g),
+                              inputs.q_f, inputs.q_s)
+    return dp == 0.0 and dv == 0.0
+
+
+def _stages(calls):
+    # one stage for a call the plant holds, four per RK4 step otherwise
+    return sum(1 if _held(params, state, inputs) else 4 * n
+               for params, state, inputs, n in calls)
+
+
+def test_default_loop_takes_every_rk4_step(default_run, count_saturation,
+                                           plant_calls):
+    # plus the balance_gas call that sets each boiler's initial state:
+    # 8 903 at seed 2214, 786 of the 1 800 calls held
     report = run_scenario(BASE, idents=default_run.idents)
     assert report.violations == []
-    assert count_saturation["calls"] == _loop_saturation_calls(BASE)
+    assert count_saturation["calls"] == (_stages(plant_calls)
+                                         + len(BASE.boilers))
 
 
 def test_held_demand_loop_takes_every_rk4_step(
-        default_run, count_saturation, workload_config):
-    # 57 605 at seed 2214
+        default_run, count_saturation, plant_calls, workload_config):
+    # 39 790 at seed 2214, 2 545 of the 7 200 calls held
     cfg = workload_config("long_hold")
     report = run_scenario(cfg, idents=default_run.idents)
     assert report.violations == []
-    assert count_saturation["calls"] == _loop_saturation_calls(cfg)
+    assert count_saturation["calls"] == (_stages(plant_calls)
+                                         + len(cfg.boilers))
 
 
-def test_identification_takes_every_rk4_step(count_saturation, monkeypatch):
-    # four stages per RK4 step of every excitation period, plus the two
-    # balance_gas calls of each experiment (its steam-to-gas scale and
-    # its initial state): 30 570 at seed 2214
-    periods = []
+def test_identification_takes_every_rk4_step(count_saturation, plant_calls,
+                                             monkeypatch):
+    # plus the two balance_gas calls of each experiment (its
+    # steam-to-gas scale and its initial state): 30 150 at seed 2214,
+    # 60 of the 3 820 calls held at a balanced equilibrium
+    experiments = []
     run_station = scenario.run_station
 
     def counted(*args):
-        periods.append(len(args[4]))
+        experiments.append(1)
         return run_station(*args)
 
     monkeypatch.setattr(scenario, "run_station", counted)
     run_identification(BASE)
-    steps = round(BASE.timing.tau / BASE.timing.dt) * sum(periods)
-    assert len(periods) == len(BASE.boilers)
-    assert count_saturation["calls"] == 4 * steps + 2 * len(BASE.boilers)
+    assert len(experiments) == len(BASE.boilers)
+    assert count_saturation["calls"] == (_stages(plant_calls)
+                                         + 2 * len(BASE.boilers))
 
 
 def test_template_failure_names_the_boilers():
