@@ -41,6 +41,7 @@ repeat it bit for bit, and it has already run every check they would.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .properties import saturation
 
@@ -90,14 +91,12 @@ class BoilerParams:
     p_sp: float
 
 
-@dataclass(frozen=True)
-class BoilerState:
+class BoilerState(NamedTuple):
     p: float    # bar
     V_w: float  # m3
 
 
-@dataclass(frozen=True)
-class BoilerInputs:
+class BoilerInputs(NamedTuple):
     q_g: float  # kg/s
     q_f: float  # kg/s
     q_s: float  # kg/s

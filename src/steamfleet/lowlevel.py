@@ -20,6 +20,7 @@ hand each other one state and nothing else.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boiler import BoilerInputs, BoilerState, balance_gas, simulate
 
@@ -32,8 +33,7 @@ class PIConfig:
     u_max: float
 
 
-@dataclass(frozen=True)
-class LoopState:
+class LoopState(NamedTuple):
     integrator: float
     output: float
 
@@ -51,8 +51,7 @@ def pi_step(cfg, loop, error, tau):
     return out, LoopState(integ, out)
 
 
-@dataclass(frozen=True)
-class StationState:
+class StationState(NamedTuple):
     boiler: BoilerState
     loop_r: LoopState
     loop_c: LoopState

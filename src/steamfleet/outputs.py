@@ -1,11 +1,15 @@
 """Artifacts for a finished run: flat CSV trace, JSON summary, SVG plots.
 
-Numeric CSV fields are printed with 17 significant digits so a parsed
-file reproduces the in-memory floats exactly; identical reports yield
-byte-identical files.
+Numeric CSV fields are printed with 17 significant digits (one
+``%``-format per row, ``%.17g`` per float and ``%d`` for the on/off
+flag) so a parsed file reproduces the in-memory floats exactly;
+identical reports yield byte-identical files.  The SVG plots omit the
+vertices inside exact flat runs (see :mod:`steamfleet.svgfig`); the
+drawing is unchanged.
 """
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .svgfig import Band, Guide, PALETTE, Panel, Series, render
@@ -23,24 +27,14 @@ def csv_header(n_boilers):
     return ",".join(cols)
 
 
-def _g17(v):
-    return format(float(v), ".17g")
-
-
 def timeseries_lines(report):
     yield csv_header(report.n_boilers)
+    row = ",".join(["%.17g"] * len(_ENSEMBLE_COLUMNS)
+                   + ["%.17g,%d" + ",%.17g" * 5] * report.n_boilers)
     for f in report.frames:
-        cells = [_g17(f.t), _g17(f.demand), _g17(f.r), _g17(f.r_hat),
-                 _g17(f.u_bar), _g17(f.y_bar), _g17(f.u_ss)]
-        for i in range(report.n_boilers):
-            cells.append(_g17(f.alpha[i]))
-            cells.append(str(int(f.delta[i])))
-            cells.append(_g17(f.qs[i]))
-            cells.append(_g17(f.qg[i]))
-            cells.append(_g17(f.qf[i]))
-            cells.append(_g17(f.p[i]))
-            cells.append(_g17(f.vw[i]))
-        yield ",".join(cells)
+        yield row % ((f.t, f.demand, f.r, f.r_hat, f.u_bar, f.y_bar, f.u_ss)
+                     + tuple(chain.from_iterable(zip(
+                         f.alpha, f.delta, f.qs, f.qg, f.qf, f.p, f.vw))))
 
 
 def write_timeseries(report, path):

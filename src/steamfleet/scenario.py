@@ -24,6 +24,7 @@ slow step, so memory and per-step cost do not grow with the run length.
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,7 @@ class IdentifiedStation:
     spectral_radius: float
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One fast-period record; state values are at the period start."""
     t: float
     demand: float

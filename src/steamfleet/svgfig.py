@@ -4,10 +4,17 @@ Covers exactly what the run reports need: stacked panels of line or
 step series, filled bands for share stacks, dashed guide lines for
 interval bounds.  All coordinates are formatted with fixed precision so
 identical data yields identical bytes.
+
+Each curve and each band edge is thinned before formatting: a vertex
+whose y equals both kept neighbours' y exactly and whose x lies between
+theirs is omitted.  It lies on the segment that replaces it, so the
+drawn path, its dash phase and any fill are unchanged, and a curve with
+no equal neighbours renders byte for byte as it would unthinned.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
@@ -109,12 +116,32 @@ def _data_ranges(panel):
     return x_lo, x_hi, y_lo, y_hi
 
 
-def _step_points(xs, ys):
-    pts = [(xs[0], ys[0])]
-    for k in range(1, len(xs)):
-        pts.append((xs[k], ys[k - 1]))
-        pts.append((xs[k], ys[k]))
-    return pts
+def _staircase(xs, ys):
+    """Hold-last vertices of step data: (x0, y0), (x1, y0), (x1, y1), ..."""
+    return zip(islice(chain.from_iterable(zip(xs, xs)), 1, None),
+               chain.from_iterable(zip(ys, ys)))
+
+
+def _vertices(xs, ys, step=False):
+    """The vertices drawn for one curve or band edge, as (x, y) pairs.
+
+    A vertex whose y equals both kept neighbours' y exactly and whose x
+    lies between theirs sits on the segment joining them, so it is
+    omitted: the drawn path, its dash phase and any fill are unchanged.
+    The first and last vertices are always kept.
+    """
+    out = []
+    ax = ay = bx = by = None    # the last two kept vertices, a before b
+    for x, y in (_staircase(xs, ys) if step else zip(xs, ys)):
+        if ay == by == y and (ax <= bx <= x or x <= bx <= ax):
+            # b lies on the segment from a to (x, y).  a needs no new
+            # check: it was not between its predecessor and b, and b is
+            # between a and (x, y), so neither is it now
+            out[-1] = bx, by = x, y
+        else:
+            out.append((x, y))
+            ax, ay, bx, by = bx, by, x, y
+    return out
 
 
 def _render_panel(out, panel, top, width, height, xlabel):
@@ -163,7 +190,7 @@ def _render_panel(out, panel, top, width, height, xlabel):
     for b in panel.bands:
         if not b.xs:
             continue
-        pts = _step_points(b.xs, b.hi) + _step_points(b.xs, b.lo)[::-1]
+        pts = _vertices(b.xs, b.hi, True) + _vertices(b.xs, b.lo, True)[::-1]
         coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
         out.append(f'<polygon points="{coords}" fill="{b.color}" '
                    'fill-opacity="0.55" stroke="none"/>')
@@ -175,7 +202,7 @@ def _render_panel(out, panel, top, width, height, xlabel):
     for s in panel.series:
         if not s.xs:
             continue
-        pts = _step_points(s.xs, s.ys) if s.step else list(zip(s.xs, s.ys))
+        pts = _vertices(s.xs, s.ys, s.step)
         coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(f'<polyline points="{coords}" fill="none" '

@@ -341,8 +341,8 @@ def test_gas_breach_between_slow_boundaries_exits_two(tmp_path, monkeypatch,
         state = real(params, *args)
         calls.append(params)
         if len(calls) == 2:
-            state = dataclasses.replace(state, loop_r=dataclasses.replace(
-                state.loop_r, output=params.q_g_min - 0.01))
+            state = state._replace(loop_r=state.loop_r._replace(
+                output=params.q_g_min - 0.01))
         return state
 
     monkeypatch.setattr(scenario, "gas_update", breach)
