@@ -15,6 +15,11 @@ violations are recorded, never silently clipped.  A zero bound (every
 station on its own dynamics, e.g. one boiler) covers no identification
 residual and is not audited.
 
+A station whose last fast period left its state unchanged bit for bit
+is held at that fixed point: while its steam command stays bit-equal,
+the loop makes neither PI step nor plant call for it (see
+:func:`run_scenario`).
+
 The loop keeps model-length histories: each station holds the newest
 ``n_f`` outputs and ``n_b_eff - 1`` inputs its canonical state reads,
 and the state ``nu`` periods back is the one computed at the previous
@@ -232,12 +237,32 @@ def _audit(t, du, u_cmds, y_meas, delta, meas_delta, boilers, sets,
     return bad
 
 
+def _unchanged(before, after):
+    """Whether a fast period left a station state equal bit for bit to
+    the one it started from.  ``==`` takes -0.0 for 0.0; ``repr``
+    tells them apart and round-trips every float."""
+    return before == after and repr(before) == repr(after)
+
+
 def run_scenario(cfg, idents=None):
     """Simulate the full stack; returns a :class:`RunReport`.
 
     ``idents`` may carry pre-fitted models to skip the identification
     experiments.  Any layer failure raises :class:`ScenarioError` with
     the simulated time attached.
+
+    A fast period is a pure function of a station's state and its steam
+    command.  Once a period has returned the state it started from, bit
+    for bit, the station is held: every later period under a bit-equal
+    command would repeat that period exactly, so the loop reuses the
+    state and its feed ``loop_c.output`` without calling
+    :func:`~steamfleet.lowlevel.gas_update` or
+    :func:`~steamfleet.lowlevel.apply_period`.  The R loop does not read
+    the command, and the unchanged period shows that it maps the held
+    state to itself; so when the command moves, ``apply_period`` starts
+    from the held state directly.  The hold hides no fault: the
+    identical call already ran every pressure, ``V_w`` and ``phi``
+    check without raising.
     """
     t_start = time.perf_counter()
     issues = validate_config(cfg)
@@ -267,6 +292,9 @@ def run_scenario(cfg, idents=None):
 
     states = [init_station(p, q, cfg.vw_frac)
               for p, q in zip(cfg.boilers, shares.flows)]
+    # per station, the steam command under which its last computed
+    # period returned its start state bit for bit, or None
+    held = [None] * len(states)
     u_cmds = _distribute(shares.u_ss, shares.delta, shares.alpha)
     u_bar = shares.u_ss
     active = None   # optimal working set of the last tracking QP
@@ -286,8 +314,10 @@ def run_scenario(cfg, idents=None):
         tf = t + j * tau
         # R loops tick first; the gas they put in force is this
         # instant's measurement
-        states = [gas_update(p, c, st, tau)
-                  for p, c, st in zip(cfg.boilers, cfg.pi_r, states)]
+        starts = states
+        states = [st if kept is not None else gas_update(p, c, st, tau)
+                  for p, c, st, kept in zip(cfg.boilers, cfg.pi_r, states,
+                                            held)]
         y_meas = [st.loop_r.output for st in states]
         for h, q_g in zip(y_hists, y_meas):
             h.append(q_g)
@@ -366,12 +396,17 @@ def run_scenario(cfg, idents=None):
         vw_row = tuple(st.boiler.V_w for st in states)
         qf_row = []
         for i, (p, c) in enumerate(zip(cfg.boilers, cfg.pi_c)):
-            try:
-                states[i], q_f = apply_period(p, c, states[i], u_cmds[i],
-                                              tau, dt)
-            except (PressureRangeError, ModelValidityError) as exc:
-                raise ScenarioError(tf, f"boiler {i + 1}: {exc}") from exc
-            u_hists[i].append(u_cmds[i])
+            cmd = u_cmds[i]
+            if held[i] is not None and _unchanged(held[i], cmd):
+                q_f = states[i].loop_c.output
+            else:
+                try:
+                    states[i], q_f = apply_period(p, c, states[i], cmd,
+                                                  tau, dt)
+                except (PressureRangeError, ModelValidityError) as exc:
+                    raise ScenarioError(tf, f"boiler {i + 1}: {exc}") from exc
+                held[i] = cmd if _unchanged(starts[i], states[i]) else None
+            u_hists[i].append(cmd)
             qf_row.append(q_f)
         y_bar_acc = sum(g for g, d in zip(y_meas, shares.delta) if d)
         report.frames.append(Frame(

@@ -6,11 +6,12 @@ a rerun reproduces it.
 """
 
 import importlib.util
+import struct
 from pathlib import Path
 
 import pytest
 
-from steamfleet import boiler, qp
+from steamfleet import boiler, qp, scenario
 from steamfleet.config import default_config
 from steamfleet.scenario import run_scenario
 
@@ -85,3 +86,45 @@ def count_saturation(monkeypatch):
 
     monkeypatch.setattr(boiler, "saturation", counted)
     return calls
+
+
+def _bits(*values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+@pytest.fixture(scope="session")
+def unheld_run():
+    """``unheld_run(cfg, idents)``: ``run_scenario`` with the run loop's
+    station hold defeated, so every station calls ``gas_update`` and
+    ``apply_period`` in every fast period.  Returns ``(report, no_gas,
+    no_period)``: the station-periods ``(k, i)`` that start in the state,
+    bit for bit, that station ``i`` started period ``k - 1`` in (where
+    the hold skips ``gas_update``), and those of them whose steam
+    command also equals period ``k - 1``'s bit for bit (where it skips
+    ``apply_period`` too)."""
+    def run(cfg, idents):
+        starts = []
+        gas_update = scenario.gas_update
+
+        def recorded(params, cfg_r, state, tau):
+            b, r, c = state
+            starts.append(_bits(b.p, b.V_w, *r, *c))
+            return gas_update(params, cfg_r, state, tau)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario, "gas_update", recorded)
+            mp.setattr(scenario, "_unchanged", lambda before, after: False)
+            report = run_scenario(cfg, idents=idents)
+        n = len(cfg.boilers)
+        assert len(starts) == n * len(report.frames)
+        no_gas, no_period = [], []
+        for k in range(1, len(report.frames)):
+            before, now = report.frames[k - 1], report.frames[k]
+            for i in range(n):
+                if starts[k * n + i] == starts[(k - 1) * n + i]:
+                    no_gas.append((k, i))
+                    if _bits(now.qs[i]) == _bits(before.qs[i]):
+                        no_period.append((k, i))
+        return report, no_gas, no_period
+
+    return run

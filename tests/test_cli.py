@@ -303,7 +303,8 @@ def test_station_failure_mid_run_exits_one(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    # one boiler, so call 21 is fast period 20 at tau = 10 s
+    # one boiler, so call 21 is fast period 20 at tau = 10 s: this run
+    # never reaches a fixed point, so the loop holds no period
     assert err == "error: t=200s: boiler 1: V_w left the drum\n"
 
 
@@ -333,7 +334,8 @@ def test_broken_mismatch_certificate_exits_two(tmp_path, monkeypatch, capsys):
 def test_gas_breach_between_slow_boundaries_exits_two(tmp_path, monkeypatch,
                                                       capsys):
     # a gas sample outside boiler 1's box in fast period j = 1 of the
-    # first slow period (t = 10 s) must be audited like one at j = 0
+    # first slow period (t = 10 s) must be audited like one at j = 0;
+    # the run holds no period, so call 2 is that period's
     real = scenario.gas_update
     calls = []
 

@@ -1,7 +1,9 @@
 """Orchestration layer: identification wiring, the closed loop, audits."""
 
 import dataclasses
+import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -208,7 +210,9 @@ def _stages(calls):
 def test_default_loop_takes_every_rk4_step(default_run, count_saturation,
                                            plant_calls):
     # plus the balance_gas call that sets each boiler's initial state:
-    # 8 903 at seed 2214, 786 of the 1 800 calls held
+    # 8 120 at seed 2214.  The run loop holds 783 of the 1 800
+    # station-periods without a call; 3 of the 1 017 calls hold at zero
+    # rates.
     report = run_scenario(BASE, idents=default_run.idents)
     assert report.violations == []
     assert count_saturation["calls"] == (_stages(plant_calls)
@@ -217,7 +221,9 @@ def test_default_loop_takes_every_rk4_step(default_run, count_saturation,
 
 def test_held_demand_loop_takes_every_rk4_step(
         default_run, count_saturation, plant_calls, workload_config):
-    # 39 790 at seed 2214, 2 545 of the 7 200 calls held
+    # 34 017 at seed 2214: the run loop holds 2 924 of the 7 200
+    # station-periods without a call; 28 of the 4 276 calls hold at zero
+    # rates
     cfg = workload_config("long_hold")
     report = run_scenario(cfg, idents=default_run.idents)
     assert report.violations == []
@@ -242,6 +248,91 @@ def test_identification_takes_every_rk4_step(count_saturation, plant_calls,
     assert len(experiments) == len(BASE.boilers)
     assert count_saturation["calls"] == (_stages(plant_calls)
                                          + 2 * len(BASE.boilers))
+
+
+def _noise_probe(seed):
+    # the default schedule plus Uniform(-0.1, 0.1) at each slow step: the
+    # dispatch re-solves every step, parking and relighting stations
+    step = BASE.timing.nu * BASE.timing.tau
+    rng = random.Random(seed)
+    demand = tuple((m * step, demand_at(BASE.demand, m * step)
+                    + rng.uniform(-0.1, 0.1))
+                   for m in range(round(BASE.timing.duration / step)))
+    return dataclasses.replace(BASE, demand=demand)
+
+
+@pytest.fixture(scope="module")
+def hold_runs(default_run, workload_config, unheld_run):
+    """``hold_runs(name)``: the run of case ``name`` with and without the
+    station hold, as ``(held, calls, unheld, no_gas, no_period)``;
+    ``calls`` counts the held run's ``gas_update`` and ``apply_period``
+    calls, and the rest is what ``unheld_run`` returns."""
+    cases = {"default": lambda: BASE,
+             "long_hold": lambda: workload_config("long_hold"),
+             "noise 1": lambda: _noise_probe(1)}
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            cfg = cases[name]()
+            calls = Counter()
+            with pytest.MonkeyPatch.context() as mp:
+                for fn in ("gas_update", "apply_period"):
+                    def counted(*args, _fn=getattr(scenario, fn), _name=fn):
+                        calls[_name] += 1
+                        return _fn(*args)
+                    mp.setattr(scenario, fn, counted)
+                held = run_scenario(cfg, idents=default_run.idents)
+            runs[name] = (held, calls,
+                          *unheld_run(cfg, default_run.idents))
+        return runs[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", ["default", "long_hold", "noise 1"])
+def test_station_hold_is_exact(hold_runs, name):
+    held, _, unheld, _, no_period = hold_runs(name)
+    assert no_period
+    # repr tells -0.0 from 0.0, which == does not
+    assert len(held.frames) == len(unheld.frames)
+    for a, b in zip(held.frames, unheld.frames):
+        assert repr(a) == repr(b)
+    assert held.violations == unheld.violations
+    assert repr(held.max_w_obs) == repr(unheld.max_w_obs)
+    assert repr(held.total_gas) == repr(unheld.total_gas)
+    assert repr(held.total_steam) == repr(unheld.total_steam)
+    assert held.hl_solves == unheld.hl_solves
+
+
+@pytest.mark.parametrize("name, gas_updates, periods",
+                         [("default", 1015, 1017),
+                          ("long_hold", 3770, 4276)])
+def test_held_stations_skip_their_pi_and_plant_calls(hold_runs, name,
+                                                     gas_updates, periods):
+    # of 1 800 / 7 200 station-periods at seed 2214
+    held, calls, _, no_gas, no_period = hold_runs(name)
+    per_station = len(held.frames) * held.n_boilers
+    assert calls["gas_update"] + len(no_gas) == per_station
+    assert calls["apply_period"] + len(no_period) == per_station
+    assert (calls["gas_update"], calls["apply_period"]) == (gas_updates,
+                                                            periods)
+
+
+def test_lit_stations_are_held_at_an_equilibrium(hold_runs):
+    # a dispatched station whose period returns its state bit for bit:
+    # 123 station-periods on long_hold at seed 2214
+    held, _, _, _, no_period = hold_runs("long_hold")
+    assert any(held.frames[k].delta[i] for k, i in no_period)
+
+
+def test_a_signed_zero_counts_as_a_change():
+    state = init_station(BASE.boilers[0], 0.0)
+    flipped = state._replace(loop_c=state.loop_c._replace(output=-0.0))
+    assert state == flipped
+    assert scenario._unchanged(state, state._replace())
+    assert not scenario._unchanged(state, flipped)
+    assert not scenario._unchanged(0.0, -0.0)
 
 
 def test_template_failure_names_the_boilers():

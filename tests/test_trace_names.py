@@ -82,16 +82,24 @@ def test_simulate_takes_every_step_while_the_state_moves(count_saturation):
     assert _set_point_saturation_calls(count_saturation, 1.1) == 40
 
 
-def test_run_loop_calls_the_traced_names_through_scenario(monkeypatch):
-    # The tracer wraps ``scenario``'s own bindings; a loop that reached
-    # the layers another way would leave their time in ``scenario.self_s``.
+NAMES = ("gas_update", "apply_period", "measured_state", "ensemble_state",
+         "build_controller", "solve_shares")
+
+
+def _traced_calls(monkeypatch, unheld_run, n):
+    # A one- or two-boiler run at demand 0.5, which one boiler serves;
+    # returns the calls it makes through ``scenario``'s bindings of the
+    # traced names, and the station-periods of a station at its fixed
+    # point, where the loop holds the station without calling
+    # ``gas_update`` or ``apply_period``.
     scenario = _module("scenario")
     base = _module("config").default_config()
     cfg = dataclasses.replace(
-        base, boilers=base.boilers[:1], pi_r=base.pi_r[:1],
-        pi_c=base.pi_c[:1], demand=((0.0, 0.5),),
+        base, boilers=base.boilers[:n], pi_r=base.pi_r[:n],
+        pi_c=base.pi_c[:n], demand=((0.0, 0.5),),
         timing=dataclasses.replace(base.timing, duration=300.0))
     idents = scenario.run_identification(cfg)
+    unheld, no_gas, no_period = unheld_run(cfg, idents)
     calls = Counter()
 
     def counted(name):
@@ -102,14 +110,35 @@ def test_run_loop_calls_the_traced_names_through_scenario(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    names = ("gas_update", "apply_period", "measured_state",
-             "ensemble_state", "build_controller", "solve_shares")
-    for name in names:
+    for name in NAMES:
         monkeypatch.setattr(scenario, name, counted(name))
     report = scenario.run_scenario(cfg, idents=idents)
+    assert list(map(repr, report.frames)) == list(map(repr, unheld.frames))
     n_fast = round(cfg.timing.duration / cfg.timing.tau)
     assert len(report.frames) == n_fast
-    per_station = n_fast * len(cfg.boilers)
-    assert calls["gas_update"] == calls["apply_period"] == per_station
-    for name in names[2:]:
+    per_station = n_fast * n
+    assert calls["gas_update"] + len(no_gas) == per_station
+    assert calls["apply_period"] + len(no_period) == per_station
+    for name in NAMES[2:]:
         assert calls[name] >= 1, name
+    return report, calls, no_period
+
+
+def test_run_loop_calls_the_traced_names_through_scenario(monkeypatch,
+                                                          unheld_run):
+    # The tracer wraps ``scenario``'s own bindings; a loop that reached
+    # the layers another way would leave their time in ``scenario.self_s``.
+    _, calls, no_period = _traced_calls(monkeypatch, unheld_run, 1)
+    assert no_period == []
+    assert calls["gas_update"] == calls["apply_period"] == 30
+
+
+def test_run_loop_holds_a_parked_station_without_traced_calls(monkeypatch,
+                                                              unheld_run):
+    # The second boiler stays parked at steam 0 from its initial
+    # equilibrium: every period after its first is held, and each
+    # station-period either makes the traced calls or is held.
+    report, calls, no_period = _traced_calls(monkeypatch, unheld_run, 2)
+    assert no_period == [(k, 1) for k in range(1, len(report.frames))]
+    assert all(f.delta == (1, 0) for f in report.frames)
+    assert calls["gas_update"] == calls["apply_period"] == 31
